@@ -32,7 +32,7 @@ from .foundation import (
     register_enumerator,
     sort_words,
 )
-from .semilinear import phi
+from .semilinear import _tuples_within_length, phi
 from . import vecautomata
 
 END = "<end>"   # right end-marker pseudo-symbol; never part of an input alphabet
@@ -542,8 +542,6 @@ def decide_bounded(s1, s2, rel, injectivity_check_len=12):
     notes = ""
     if not s1.is_distinct_letter():
         seen = {}
-        from .semilinear import _tuples_within_length
-
         for t in _tuples_within_length(s1.words, injectivity_check_len):
             w = phi(s1.words, t)
             if w in seen and seen[w] != t:

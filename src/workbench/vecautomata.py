@@ -11,14 +11,22 @@ zero-digit closure pass before minimizing.
 The solver core is the classic digit-by-digit construction for integer
 linear equations A·y = b: states are carry vectors, reading digit tuple
 d from carry r requires (r_i - (A·d)_i) even on every row and moves to
-(r - A·d)/2, and the zero carry accepts.  Inequalities are handled
+(r - A·d)/2, and the zero carry accepts.  A·d is computed once per digit
+and the digits are bucketed by the parity vector of A·d, so carry r
+visits only the bucket keyed by r mod 2.  Inequalities are handled
 upstream by slack variables plus projection.
+
+Transition maps may be partial: ``n_states`` is the implicit dead state
+of every missing (state, digits) entry.  ``minimize`` and ``combine``
+read a missing entry as that state; ``minimize`` returns a total map.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from operator import add, sub
 
 from .foundation import PreconditionError
 from .semilinear import LinearSet, SemilinearSet
@@ -33,7 +41,7 @@ class VectorDFA:
     """Deterministic synchronous automaton over {0,1}^tracks digit tuples.
 
     ``transitions`` maps (state, digits) -> state and may be partial;
-    a missing entry is an implicit dead state.
+    a missing entry goes to the implicit dead state ``n_states``.
     """
 
     tracks: int
@@ -111,113 +119,83 @@ class EquationSystem:
 
 def from_equations(eq):
     """DFA over all variables accepting encodings of solutions of A·y = b."""
-    tracks = eq.n_vars
     rows = eq.matrix
-    alphabet = digit_tuples(tracks)
+    # A·d for every digit tuple, one column at a time, in digit_tuples order
+    ads = [(0,) * len(rows)]
+    for column in zip(*rows):
+        ads = [v for ad in ads for v in (ad, tuple(map(add, ad, column)))]
+    buckets = {}
+    for d, ad in zip(digit_tuples(eq.n_vars), ads):
+        parity = tuple(x & 1 for x in ad)
+        buckets.setdefault(parity, []).append((d, tuple(x >> 1 for x in ad)))
     start = tuple(eq.rhs)
     index = {start: 0}
-    order = [start]
     transitions = {}
     frontier = [start]
     while frontier:
         carry = frontier.pop()
         q = index[carry]
-        for d in alphabet:
-            nxt = []
-            ok = True
-            for i, row in enumerate(rows):
-                s = carry[i] - sum(a * bit for a, bit in zip(row, d))
-                if s % 2 != 0:
-                    ok = False
-                    break
-                nxt.append(s // 2)
-            if not ok:
-                continue
-            nxt = tuple(nxt)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
+        half = tuple(c >> 1 for c in carry)
+        for d, ad_half in buckets.get(tuple(c & 1 for c in carry), ()):
+            nxt = tuple(map(sub, half, ad_half))
+            t = index.get(nxt)
+            if t is None:
+                t = index[nxt] = len(index)
                 frontier.append(nxt)
-            transitions[(q, d)] = index[nxt]
-    zero = tuple([0] * len(rows))
+            transitions[(q, d)] = t
+    zero = (0,) * len(rows)
     accepting = frozenset([index[zero]]) if zero in index else frozenset()
-    return VectorDFA(tracks, len(order), 0, transitions, accepting)
-
-
-def _dead_closed(dfa):
-    """Total transition map with an explicit dead sink where needed."""
-    alphabet = digit_tuples(dfa.tracks)
-    needs_sink = any(
-        (q, d) not in dfa.transitions for q in range(dfa.n_states) for d in alphabet
-    )
-    trans = dict(dfa.transitions)
-    n = dfa.n_states
-    if needs_sink:
-        sink = n
-        n += 1
-        for q in range(n):
-            for d in alphabet:
-                trans.setdefault((q, d), sink)
-    return VectorDFA(dfa.tracks, n, dfa.initial, trans, dfa.accepting)
+    return VectorDFA(eq.n_vars, len(index), 0, transitions, accepting)
 
 
 def minimize(dfa):
-    """Canonical minimal DFA: totalize, refine, renumber in BFS order."""
-    dfa = _dead_closed(dfa)
-    alphabet = digit_tuples(dfa.tracks)
+    """Canonical minimal DFA: refine the reachable part, renumber in BFS order.
 
-    # reachable restriction first
-    reach = {dfa.initial}
+    A missing transition goes to the implicit dead state ``n_states``.
+    """
+    alphabet = digit_tuples(dfa.tracks)
+    sink = dfa.n_states
+    get = dfa.transitions.get
+    succ = {}
     stack = [dfa.initial]
     while stack:
         q = stack.pop()
-        for d in alphabet:
-            t = dfa.transitions[(q, d)]
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
+        if q not in succ:
+            succ[q] = row = [get((q, d), sink) for d in alphabet]
+            stack.extend(row)
+    reach = sorted(succ)
 
     # Moore refinement
-    block = {q: (q in dfa.accepting) for q in reach}
+    block = [False] * (sink + 1)
+    for q in reach:
+        block[q] = q in dfa.accepting
+    n_blocks = len(set(block[q] for q in reach))
     while True:
-        sig = {
-            q: (block[q],) + tuple(block[dfa.transitions[(q, d)]] for d in alphabet)
-            for q in reach
-        }
-        new_ids = {}
-        new_block = {}
-        for q in sorted(reach):
-            s = sig[q]
-            if s not in new_ids:
-                new_ids[s] = len(new_ids)
-            new_block[q] = new_ids[s]
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
+        ids = {}
+        new_block = [0] * (sink + 1)
+        for q in reach:
+            sig = (block[q], *map(block.__getitem__, succ[q]))
+            new_block[q] = ids.setdefault(sig, len(ids))
         block = new_block
+        if len(ids) == n_blocks:
+            break
+        n_blocks = len(ids)
 
     # canonical BFS renumbering of blocks
     rep = {}
-    for q in sorted(reach):
+    for q in reach:
         rep.setdefault(block[q], q)
-    numbering = {}
+    numbering = {block[dfa.initial]: 0}
     order = [block[dfa.initial]]
-    numbering[block[dfa.initial]] = 0
-    i = 0
-    while i < len(order):
-        b = order[i]
-        i += 1
-        q = rep[b]
-        for d in sorted(alphabet):
-            tb = block[dfa.transitions[(q, d)]]
-            if tb not in numbering:
-                numbering[tb] = len(order)
-                order.append(tb)
+    for b in order:
+        for t in succ[rep[b]]:
+            if block[t] not in numbering:
+                numbering[block[t]] = len(order)
+                order.append(block[t])
     transitions = {}
     for b, num in numbering.items():
-        q = rep[b]
-        for d in alphabet:
-            transitions[(num, d)] = numbering[block[dfa.transitions[(q, d)]]]
+        for d, t in zip(alphabet, succ[rep[b]]):
+            transitions[(num, d)] = numbering[block[t]]
     accepting = frozenset(
         numbering[block[q]] for q in reach if q in dfa.accepting
     )
@@ -249,57 +227,43 @@ def project(dfa, drop):
     if not drop <= set(range(dfa.tracks)):
         raise PreconditionError("dropped tracks outside automaton")
     keep = [t for t in range(dfa.tracks) if t not in drop]
-    kept_alphabet = digit_tuples(len(keep))
-    completions = digit_tuples(len(drop))
-    drop_sorted = sorted(drop)
-
-    def full_digit(kd, cd):
-        d = [0] * dfa.tracks
-        for i, t in enumerate(keep):
-            d[t] = kd[i]
-        for i, t in enumerate(drop_sorted):
-            d[t] = cd[i]
-        return tuple(d)
+    # erased-track successor sets: state -> kept digit -> targets
+    kept = {d: tuple(d[i] for i in keep) for d in digit_tuples(dfa.tracks)}
+    erased = [{} for _ in range(dfa.n_states)]
+    for (q, d), t in dfa.transitions.items():
+        erased[q].setdefault(kept[d], set()).add(t)
 
     start = frozenset([dfa.initial])
     index = {start: 0}
     order = [start]
     transitions = {}
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        i += 1
-        for kd in kept_alphabet:
-            nxt = set()
-            for q in subset:
-                for cd in completions:
-                    t = dfa.transitions.get((q, full_digit(kd, cd)))
-                    if t is not None:
-                        nxt.add(t)
-            nxt = frozenset(nxt)
-            if not nxt:
-                continue
-            if nxt not in index:
-                index[nxt] = len(order)
+    for s, subset in enumerate(order):
+        succ = {}
+        for q in subset:
+            for kd, ts in erased[q].items():
+                succ.setdefault(kd, set()).update(ts)
+        for kd in sorted(succ):
+            nxt = frozenset(succ[kd])
+            t = index.get(nxt)
+            if t is None:
+                t = index[nxt] = len(order)
                 order.append(nxt)
-            transitions[(index[subset], kd)] = index[nxt]
+            transitions[(s, kd)] = t
 
-    base_accepting = {
-        index[s] for s in order if s & dfa.accepting
-    }
-    # zero-digit backward closure
-    zero = tuple([0] * len(keep))
-    accepting = set(base_accepting)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(len(order)):
-            if s in accepting:
-                continue
-            t = transitions.get((s, zero))
-            if t is not None and t in accepting:
+    # zero-digit backward closure, as a worklist over reverse zero edges
+    zero = (0,) * len(keep)
+    zero_preds = {}
+    for s in range(len(order)):
+        t = transitions.get((s, zero))
+        if t is not None:
+            zero_preds.setdefault(t, []).append(s)
+    accepting = {s for s, subset in enumerate(order) if subset & dfa.accepting}
+    work = list(accepting)
+    while work:
+        for s in zero_preds.get(work.pop(), ()):
+            if s not in accepting:
                 accepting.add(s)
-                changed = True
+                work.append(s)
     out = VectorDFA(len(keep), len(order), 0, transitions, frozenset(accepting))
     return minimize(out)
 
@@ -320,25 +284,24 @@ def combine(m1, m2, op):
         raise PreconditionError("track count mismatch")
     if op not in ("union", "intersection", "difference"):
         raise ValueError("op must be union/intersection/difference")
-    a, b = _dead_closed(m1), _dead_closed(m2)
-    alphabet = digit_tuples(a.tracks)
-    start = (a.initial, b.initial)
+    sink_a, sink_b = m1.n_states, m2.n_states
+    get_a, get_b = m1.transitions.get, m2.transitions.get
+    alphabet = digit_tuples(m1.tracks)
+    start = (m1.initial, m2.initial)
     index = {start: 0}
     order = [start]
     transitions = {}
-    i = 0
-    while i < len(order):
-        (qa, qb) = order[i]
-        i += 1
+    for i, (qa, qb) in enumerate(order):
         for d in alphabet:
-            nxt = (a.transitions[(qa, d)], b.transitions[(qb, d)])
-            if nxt not in index:
-                index[nxt] = len(order)
+            nxt = (get_a((qa, d), sink_a), get_b((qb, d), sink_b))
+            t = index.get(nxt)
+            if t is None:
+                t = index[nxt] = len(order)
                 order.append(nxt)
-            transitions[(index[(qa, qb)], d)] = index[nxt]
+            transitions[(i, d)] = t
     accepting = set()
     for (qa, qb), num in index.items():
-        ina, inb = qa in a.accepting, qb in b.accepting
+        ina, inb = qa in m1.accepting, qb in m2.accepting
         hit = (
             (ina or inb)
             if op == "union"
@@ -346,7 +309,7 @@ def combine(m1, m2, op):
         )
         if hit:
             accepting.add(num)
-    return minimize(VectorDFA(a.tracks, len(order), 0, transitions, frozenset(accepting)))
+    return minimize(VectorDFA(m1.tracks, len(order), 0, transitions, frozenset(accepting)))
 
 
 def complement(m):
@@ -354,13 +317,14 @@ def complement(m):
 
 
 def is_empty(m):
+    alphabet = digit_tuples(m.tracks)
     reach = {m.initial}
     stack = [m.initial]
     while stack:
         q = stack.pop()
         if q in m.accepting:
             return False
-        for d in digit_tuples(m.tracks):
+        for d in alphabet:
             t = m.transitions.get((q, d))
             if t is not None and t not in reach:
                 reach.add(t)
@@ -370,13 +334,11 @@ def is_empty(m):
 
 def shortest_accepted(m):
     """Shortest accepted digit string, decoded to a vector; None if empty."""
-    from collections import deque
-
     if m.initial in m.accepting:
         return tuple([0] * m.tracks)
     seen = {m.initial}
     queue = deque([(m.initial, [])])
-    alphabet = sorted(digit_tuples(m.tracks))
+    alphabet = digit_tuples(m.tracks)
     while queue:
         q, path = queue.popleft()
         for d in alphabet:

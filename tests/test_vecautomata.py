@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from workbench.foundation import PreconditionError
 from workbench.semilinear import linear, member, semilinear
@@ -57,6 +58,15 @@ def test_project_double_onto_evens():
     m = va.project(va.from_equations(eq), {1})
     for x in range(33):
         assert m.accepts_vector((x,)) == (x % 2 == 0)
+
+
+def test_project_padding_closure():
+    # y = x + 4: the dropped track is wider than x, so the kept encoding of
+    # x accepts only after the zero-digit closure
+    eq = va.EquationSystem([(1, -1)], (-4,), (False, True))
+    m = va.project(va.from_equations(eq), {1})
+    for x in range(20):
+        assert m.accepts_vector((x,))
 
 
 def test_project_everything_keeps_emptiness():
@@ -218,3 +228,132 @@ def test_dump_tsv_roundtrips_basic_fields():
     text = va.dump_tsv(m)
     assert text.startswith("tracks\t2\n")
     assert "initial\t0" in text
+
+
+def _reference_from_equations(eq):
+    """Per-digit construction: reject a digit when r_i - (A·d)_i is odd."""
+    start = tuple(eq.rhs)
+    index = {start: 0}
+    transitions = {}
+    frontier = [start]
+    while frontier:
+        carry = frontier.pop()
+        for d in product((0, 1), repeat=eq.n_vars):
+            diffs = [
+                r - sum(a * bit for a, bit in zip(row, d))
+                for r, row in zip(carry, eq.matrix)
+            ]
+            if any(x % 2 for x in diffs):
+                continue
+            nxt = tuple(x // 2 for x in diffs)
+            if nxt not in index:
+                index[nxt] = len(index)
+                frontier.append(nxt)
+            transitions[(index[carry], d)] = index[nxt]
+    return index, transitions
+
+
+def _seeded_systems(rng, count):
+    """from_linear-shaped systems x - sum(l_j p_j) = c, then general ones."""
+    for _ in range(count):
+        k = rng.randrange(1, 4)
+        r = rng.randrange(0, 7 - k)
+        rows = []
+        for i in range(k):
+            row = [0] * (k + r)
+            row[i] = 1
+            for j in range(r):
+                row[k + j] = -rng.randrange(3)
+            rows.append(row)
+        yield va.EquationSystem(rows, [rng.randrange(4) for _ in range(k)])
+        n_vars = rng.randrange(1, 7)
+        matrix = [[rng.randrange(-3, 4) for _ in range(n_vars)] for _ in range(rng.randrange(1, 4))]
+        yield va.EquationSystem(matrix, [rng.randrange(-5, 6) for _ in matrix])
+
+
+def test_from_equations_matches_per_digit_reference():
+    for eq in _seeded_systems(random.Random(11), 25):
+        m = va.from_equations(eq)
+        index, transitions = _reference_from_equations(eq)
+        assert m.n_states == len(index)
+        assert list(m.transitions.items()) == list(transitions.items())
+        zero = (0,) * len(eq.rhs)
+        assert m.accepting == ({index[zero]} if zero in index else set())
+
+
+# Partial automata with no explicit sink.  PARTIAL (one track): 0 loops on
+# 0 and moves to the accepting 1 on 1; 1 returns to 0 on 1 and reaches the
+# dead end 2 on 0; 3 and 4 are unreachable.  Minimal: 0, 1 and one dead state.
+PARTIAL = va.VectorDFA(
+    1, 5, 0,
+    {
+        (0, (0,)): 0, (0, (1,)): 1,
+        (1, (1,)): 0, (1, (0,)): 2,
+        (3, (0,)): 4, (3, (1,)): 1, (4, (1,)): 4,
+    },
+    frozenset([1, 3, 4]),
+)
+# Two tracks, x == y read digit by digit, plus an unreachable accepting state.
+PARTIAL_DIAG = va.VectorDFA(
+    2, 2, 0,
+    {(0, (0, 0)): 0, (0, (1, 1)): 0, (1, (0, 1)): 1},
+    frozenset([0, 1]),
+)
+
+
+def _digit_words(tracks, max_len):
+    alphabet = list(product((0, 1), repeat=tracks))
+    for n in range(max_len + 1):
+        yield from product(alphabet, repeat=n)
+
+
+OPS = {
+    "union": lambda a, b: a or b,
+    "intersection": lambda a, b: a and b,
+    "difference": lambda a, b: a and not b,
+}
+
+
+@pytest.mark.parametrize("m, minimal_states", [(PARTIAL, 3), (PARTIAL_DIAG, 2)])
+def test_partial_automata_read_missing_entries_as_dead(m, minimal_states):
+    mini = va.minimize(m)
+    assert va.minimize(mini) == mini
+    # unreachable states dropped; dead ends and missing entries share one state
+    assert mini.n_states == minimal_states
+    assert len(mini.transitions) == mini.n_states * 2 ** m.tracks
+    other = va.from_linear(linear((1,) * m.tracks, (1,) * m.tracks))
+    for a, b in ((m, other), (other, m), (m, m)):
+        for op, fn in OPS.items():
+            c = va.combine(a, b, op)
+            assert va.minimize(c) == c
+            for w in _digit_words(m.tracks, 6 if m.tracks == 1 else 3):
+                assert c.accepts_digits(w) == fn(a.accepts_digits(w), b.accepts_digits(w)), (op, w)
+    for w in _digit_words(m.tracks, 6 if m.tracks == 1 else 3):
+        assert mini.accepts_digits(w) == m.accepts_digits(w)
+
+
+_small_vector = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_small_linear = st.builds(
+    lambda const, periods: linear(const, *[p for p in periods if any(p)]),
+    _small_vector,
+    st.lists(_small_vector, max_size=2),
+)
+_small_sets = st.lists(_small_linear, min_size=1, max_size=2).map(lambda cs: semilinear(*cs))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(_small_sets, _small_sets, st.sampled_from(["equal", "subset", "disjoint"]))
+def test_compare_agrees_with_box_membership(q1, q2, rel):
+    holds, wit = va.compare(q1, q2, rel)
+    box = [(member(q1, v), member(q2, v)) for v in product(range(8), repeat=2)]
+    if rel == "subset":
+        bad = lambda a, b: a and not b
+    elif rel == "equal":
+        bad = lambda a, b: a != b
+    else:
+        bad = lambda a, b: a and b
+    if holds:
+        assert wit is None
+        assert not any(bad(a, b) for a, b in box)
+    else:
+        assert bad(member(q1, wit), member(q2, wit))
