@@ -352,7 +352,7 @@ def regularize_etol(g, k, codes=None, audit_len=8, verify_len=12):
     projection) and builds the codes automatically."""
     if not g.reduced:
         raise PreconditionError("regularize_etol expects a reduced system")
-    profiles = mx._explore_etol_profiles(g, k)  # raises IndexExceeded past k
+    profiles = mx._etol_profiles(g, k)  # raises IndexExceeded past k
     audited = _audit_etol_unambiguous(g, audit_len)
     rhs_map = right_hand_sides(g)
     if codes is None:
@@ -395,11 +395,9 @@ def regularize_etol(g, k, codes=None, audit_len=8, verify_len=12):
     index = {x: i for i, x in enumerate(order)}
     edges = []
     for x in order:
-        if not x:
-            continue
         combos = profiles[x]
         for ti in sorted(combos):
-            for choice, newprof in combos[ti]:
+            for choice, newprof, _ in combos[ti]:
                 u = []
                 for i, rhs in enumerate(choice):
                     pos = rhs_map[x[i]].index(rhs)

@@ -484,9 +484,10 @@ def dcm_for_bounded(spec, budget=None):
                     add(loop, None, pat, rep_entry, (0,) * n)
             chain(("vrc", c, idx), comps[c].periods[j], rep_entry, loop, bail_to=bail[c])
 
+        # the load states consumed END already, so acceptance is a λ-step
         for pat in all_pats:
             if all(pat[bank(c, i)] == 0 for i in range(k)):
-                add(vfin, END, pat, ("acc",), (0,) * n)
+                add(vfin, None, pat, ("acc",), (0,) * n)
             else:
                 add(vfin, None, pat, bail[c], (0,) * n)
 
@@ -494,20 +495,6 @@ def dcm_for_bounded(spec, budget=None):
     for i in range(k):
         for pat in all_pats:
             add(("load", i), END, pat, verify_entry(0), (0,) * n)
-
-    # after END was consumed in load state, verification runs on λ-moves and
-    # acceptance needs a final λ-step into ("acc",); move the END consumption
-    # up front so vfin's END transition above is unreachable -- replace it.
-    for c in range(C):
-        vfin = ("vfin", c)
-        for pat in all_pats:
-            key = (vfin, END, pat)
-            if key in trans:
-                del trans[key]
-            if all(pat[bank(c, i)] == 0 for i in range(k)):
-                add(vfin, None, pat, ("acc",), (0,) * n)
-            else:
-                add(vfin, None, pat, bail[c], (0,) * n)
 
     return CounterMachine(n, states, ("load", 0), {("acc",)}, alphabet, trans)
 

@@ -172,21 +172,28 @@ def step_with_multiplicity(g, sentential, table):
     return out
 
 
-def min_yield_map(g):
-    """Per-symbol lower bound on the length of a derivable terminal word,
-    ignoring table synchronization (safe for pruning)."""
-    m = {s: (1 if s in g._sset else INF) for s in set(g.v) | set(g.sigma)}
+def _least_yields(rewritable, terminals, productions):
+    """Per-symbol length of the shortest terminal word derivable with the
+    (lhs, rhs) ``productions``, INF where none is; the least fixpoint."""
+    m = dict.fromkeys(rewritable, INF)
+    m.update(dict.fromkeys(terminals, 1))
     changed = True
     while changed:
         changed = False
-        for t in g.tables:
-            for x, rhss in t.items():
-                for r in rhss:
-                    cand = sum(m[s] for s in r)
-                    if cand < m[x]:
-                        m[x] = cand
-                        changed = True
+        for x, r in productions:
+            cand = sum(m[s] for s in r)
+            if cand < m[x]:
+                m[x] = cand
+                changed = True
     return m
+
+
+def min_yield_map(g):
+    """Per-symbol lower bound on the length of a derivable terminal word,
+    ignoring table synchronization (safe for pruning)."""
+    return _least_yields(
+        g.v, g.sigma, [(x, r) for t in g.tables for x, rhss in t.items() for r in rhss]
+    )
 
 
 def min_yield(g, sentential, m=None):

@@ -11,11 +11,23 @@ granularity: a step is a (matrix, per-origin tuple) pair.  For grammars
 in normal form every granularity collapses to the matrix string itself,
 which is what makes the Szilard automaton deterministic.
 
-The normal form keeps every sentential form's nonterminals pairwise
-distinct by renaming them to (symbol, register) pairs, registers packed
-1..n left to right, with one end-marker symbol carrying the row width.
-Every refined matrix rewrites the entire row plus the marker, so it
-applies from exactly one row profile; that exactness is what preserves
+The four conversions (normal form, matrix to reduced ETOL, reduced ETOL
+to EDTOL and to matrix) read one profile table.  A profile is the
+nonterminal sequence of a sentential form; the table maps every profile
+reachable within the index bound to its rows, one per application of a
+rule (a matrix, or an ETOL table with one rewrite choice per position),
+each row giving the word every position rewrites to and the successor
+profile.  Two compilers turn rows into output rules:
+
+* the row-matrix compiler (normal form, ETOL to matrix) renames a row's
+  nonterminals to (symbol, register) pairs, registers packed 1..n left
+  to right, with one end-marker symbol carrying the row width;
+* the row-table renamer (matrix to ETOL, ETOL to EDTOL) names each
+  profile position and sends everything outside the row to a dead
+  symbol.
+
+Either way every output rule rewrites an entire row (plus the marker),
+so it applies from exactly one profile; that exactness is what preserves
 derivation counts (plain register pairs would admit prefix-profile
 applications that inflate ambiguity).
 """
@@ -23,6 +35,7 @@ applications that inflate ambiguity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .foundation import (
     DEFAULT_BUDGET,
@@ -31,9 +44,7 @@ from .foundation import (
     register_enumerator,
     sort_words,
 )
-from .etol import EtolSystem, TreeCount, _is_subsequence
-
-INF = float("inf")
+from .etol import EtolSystem, TreeCount, _is_subsequence, _least_yields, _options
 
 
 class IndexExceeded(PreconditionError):
@@ -128,18 +139,7 @@ def apply_matrix(g, sentential, m_idx):
 
 
 def _min_yield_map(g):
-    m = {s: 1 for s in g.terminals}
-    m.update({a: INF for a in g.nonterminals})
-    changed = True
-    while changed:
-        changed = False
-        for matrix in g.matrices:
-            for lhs, rhs in matrix:
-                cand = sum(m[s] for s in rhs)
-                if cand < m[lhs]:
-                    m[lhs] = cand
-                    changed = True
-    return m
+    return _least_yields(g.nonterminals, g.terminals, [p for m in g.matrices for p in m])
 
 
 def enumerate_matrix(g, max_len, budget=None):
@@ -195,12 +195,7 @@ def count_derivations(g, w, max_depth=None, cap=4096):
             return memo[key]
         total, exact = 0, True
         for mi in range(len(g.matrices)):
-            seen_steps = set()
-            for succ, per_origin, _ in matrix_applications(g, s, mi):
-                step_id = (mi, per_origin)
-                if step_id in seen_steps:
-                    continue
-                seen_steps.add(step_id)
+            for succ, _, _ in matrix_applications(g, s, mi):
                 if sum(mym[x] for x in succ) > len(w):
                     continue
                 if not _is_subsequence(tuple(x for x in succ if x in g._tset), w_terms):
@@ -218,32 +213,143 @@ def count_derivations(g, w, max_depth=None, cap=4096):
     return TreeCount(value, exact)
 
 
-def _explore_profiles(g, k):
-    """Reachable nonterminal profiles and per-(profile, matrix) applications.
+def _explore(start, k, rows):
+    """The profile table: each profile reachable from ``start`` mapped to
+    ``rows(profile)``, a dict {rule: [(parts, successor profile,
+    used_fresh), ...]} where parts[i] is the word position i rewrites to.
+    The empty profile has nothing left to rewrite and gets no rows.
 
     Raises IndexExceeded when a reachable profile is longer than k."""
-    start = (g.start,)
     table = {}
     frontier = [start]
     seen = {start}
     while frontier:
         x = frontier.pop()
         if len(x) > k:
-            raise IndexExceeded(
-                "profile %r exceeds index bound %d" % (x, k)
-            )
+            raise IndexExceeded("profile %r exceeds index bound %d" % (x, k))
+        table[x] = rows(x) if x else {}
+        for hits in table[x].values():
+            for _, nxt, _ in hits:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return table
+
+
+def _matrix_profiles(g, k):
+    """Profile table of a matrix grammar; rules are matrix indexes and a
+    row is one complete application."""
+
+    def rows(x):
         apps = {}
         for mi in range(len(g.matrices)):
             hits = matrix_applications(g, x, mi)
             if hits:
-                apps[mi] = hits
-                for succ, _, _ in hits:
-                    nxt = g.profile(succ)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-        table[x] = apps
-    return table
+                apps[mi] = [(parts, g.profile(succ), fresh) for succ, parts, fresh in hits]
+        return apps
+
+    return _explore((g.start,), k, rows)
+
+
+def _etol_profiles(g, k):
+    """Profile table of a reduced ETOL system; rules are table indexes and
+    a row is one rewrite combination."""
+    if not g.reduced:
+        raise PreconditionError("conversion expects a reduced ETOL system")
+
+    def rows(x):
+        combos = {}
+        for ti in range(len(g.tables)):
+            opts = _options(g, x, ti)
+            if opts is None:
+                continue
+            combos[ti] = []
+            for parts in product(*opts):
+                succ = tuple(s for part in parts for s in part if g.is_nonterminal(s))
+                combos[ti].append((parts, succ, False))
+        return combos
+
+    return _explore((g.axiom,), k, rows)
+
+
+def _renamed(parts, terminals, name):
+    """``parts`` with the row's nonterminals renamed name(symbol, c), c
+    counting them 1, 2, ... left to right across the row."""
+    c = 0
+    out = []
+    for part in parts:
+        rhs = []
+        for s in part:
+            if s not in terminals:
+                c += 1
+                s = name(s, c)
+            rhs.append(s)
+        out.append(tuple(rhs))
+    return out
+
+
+def _row_matrices(table, k, start, terminals, name, marker, used):
+    """Matrix grammar with one matrix per (parity, profile, rule, row).
+
+    A row's nonterminals become registers name(symbol, i, parity), packed
+    1..n left to right, followed by the end marker name(marker, n + 1,
+    parity) carrying the row width.  Each matrix rewrites its entire row
+    plus the marker, so it applies from exactly one profile and
+    derivation counts survive.  Registers alternate between two
+    namespaces by step parity so the fresh names a matrix introduces can
+    never collide with the names a later production of the same matrix
+    still has to rewrite.  ``used`` holds every input symbol: the marker
+    must not share its registers with a nonterminal's."""
+    while marker in used or any(
+        name(marker, i, p) in used for i in range(k + 2) for p in (0, 1)
+    ):
+        marker += "'"
+    start0 = "S0"
+    while start0 in used:
+        start0 += "'"
+    tset = set(terminals)
+    matrices = [((start0, (name(start, 1, 0), name(marker, 2, 0))),)]
+    for parity in (0, 1):
+        flip = 1 - parity
+        for x in sorted(table):
+            for rule in sorted(table[x]):
+                for parts, succ, _ in table[x][rule]:
+                    rhss = _renamed(parts, tset, lambda s, c: name(s, c, flip))
+                    prods = [
+                        (name(s, i, parity), rhs) for i, (s, rhs) in enumerate(zip(x, rhss), 1)
+                    ]
+                    new_mark = (name(marker, len(succ) + 1, flip),) if succ else ()
+                    prods.append((name(marker, len(x) + 1, parity), new_mark))
+                    matrices.append(tuple(prods))
+    nts = {lhs for m in matrices for lhs, _ in m}
+    nts.update(s for m in matrices for _, rhs in m for s in rhs if s not in tset)
+    return MatrixGrammar(sorted(nts), terminals, start0, matrices)
+
+
+def _row_etol(table, start, terminals, name):
+    """Reduced ETOL with one deterministic table per (profile, rule, row).
+
+    Position i of profile x is the nonterminal name(x, i).  A table sends
+    its row to the successor row's names and every other nonterminal to
+    the dead symbol, so it applies from exactly one profile and
+    derivation counts survive."""
+    tset = set(terminals)
+    dead = "F"
+    while dead in tset:
+        dead += "'"
+    nts = {dead}
+    nts.update(name(x, i) for x in table for i in range(1, len(x) + 1))
+    tables = []
+    for x in sorted(table):
+        for rule in sorted(table[x]):
+            for parts, succ, _ in table[x][rule]:
+                t = dict.fromkeys(nts, ((dead,),))
+                rhss = _renamed(parts, tset, lambda s, c: name(succ, c))
+                t.update((name(x, i), (rhs,)) for i, rhs in enumerate(rhss, 1))
+                tables.append(t)
+    if not tables:
+        tables.append(dict.fromkeys(nts, ((dead,),)))
+    return EtolSystem(sorted(nts), terminals, name(start, 1), tables, reduced=True)
 
 
 @dataclass(frozen=True)
@@ -272,70 +378,16 @@ def normal_form(g, k):
     """Equivalent index-k grammar whose sentential forms carry pairwise
     distinct nonterminals and whose matrices apply fully, plus the
     certificate.  Derivation counts per word are preserved exactly.
-
-    Registers alternate between two namespaces by step parity so the
-    fresh names a matrix introduces can never collide with the names a
-    later production of the same matrix still has to rewrite.  Grammars
-    already satisfying the conditions are returned unchanged."""
-    table = _explore_profiles(g, k)
+    Grammars already satisfying the conditions are returned unchanged."""
+    table = _matrix_profiles(g, k)
     if _check_normal(table):
         return g, NormalFormCert(k, tuple(sorted(table)), True)
-
-    used = set(g.terminals) | set(g.nonterminals)
-
-    def reg(sym, i, parity):
-        return "[%s|%d%s]" % (sym, i, "ab"[parity])
-
-    marker = "#"
-    while any(reg(marker, i, p) in used for i in range(k + 2) for p in (0, 1)):
-        marker += "#"
-    start0 = "S0"
-    while start0 in used:
-        start0 += "'"
-
-    new_matrices = []
-    new_nts = {start0}
-    new_matrices.append(((start0, (reg(g.start, 1, 0), reg(marker, 2, 0))),))
-    new_nts.add(reg(g.start, 1, 0))
-    new_nts.add(reg(marker, 2, 0))
-
-    for parity in (0, 1):
-        for x in sorted(table):
-            if not x:
-                continue
-            apps = table[x]
-            for mi in sorted(apps):
-                for succ, per_origin, _ in apps[mi]:
-                    newprof = g.profile(succ)
-                    if len(newprof) > k:
-                        raise IndexExceeded(
-                            "profile %r exceeds index bound %d" % (newprof, k)
-                        )
-                    flip = 1 - parity
-                    prods = []
-                    counter = 0
-                    for i, part in enumerate(per_origin):
-                        rhs = []
-                        for s in part:
-                            if s in g._nset:
-                                counter += 1
-                                rhs.append(reg(s, counter, flip))
-                                new_nts.add(reg(s, counter, flip))
-                            else:
-                                rhs.append(s)
-                        prods.append((reg(x[i], i + 1, parity), tuple(rhs)))
-                        new_nts.add(reg(x[i], i + 1, parity))
-                    width = len(newprof)
-                    old_mark = reg(marker, len(x) + 1, parity)
-                    new_mark = (reg(marker, width + 1, flip),) if width else ()
-                    prods.append((old_mark, new_mark))
-                    new_nts.add(old_mark)
-                    if new_mark:
-                        new_nts.add(new_mark[0])
-                    new_matrices.append(tuple(prods))
-
-    out = MatrixGrammar(sorted(new_nts), g.terminals, start0, new_matrices)
-    cert_table = _explore_profiles(out, k + 2)
+    out = _row_matrices(
+        table, k, g.start, g.terminals,
+        lambda s, i, p: "[%s|%d%s]" % (s, i, "ab"[p]),
+        "#", set(g.terminals) | set(g.nonterminals),
+    )
+    cert_table = _matrix_profiles(out, k + 2)
     if not _check_normal(cert_table):
         raise NormalFormViolation("register construction left a violation")
     return out, NormalFormCert(k, tuple(sorted(cert_table)), False)
@@ -397,7 +449,7 @@ def szilard_dfa(g, k):
 
     Requires the normal-form conditions; transitions follow the unique
     profile successor, the empty profile is the one accepting state."""
-    table = _explore_profiles(g, k)
+    table = _matrix_profiles(g, k)
     if not _check_normal(table):
         raise NormalFormViolation(
             "grammar is not in normal form; run normal_form first"
@@ -407,8 +459,7 @@ def szilard_dfa(g, k):
     transitions = {}
     for x, apps in table.items():
         for mi, hits in apps.items():
-            succ, _, _ = hits[0]
-            transitions[(index[x], mi)] = index[g.profile(succ)]
+            transitions[(index[x], mi)] = index[hits[0][1]]
     accepting = frozenset([index[()]]) if () in index else frozenset()
     return SzilardDFA(
         tuple(profiles), index[(g.start,)], accepting, transitions, len(g.matrices)
@@ -459,125 +510,17 @@ def matrix_to_reduced_etol(g, k):
 
     Nonterminals are (profile, position) pairs; one table per (profile,
     matrix, application); everything foreign falls to the dead symbol."""
-    table = _explore_profiles(g, k)
-    used = set(g.terminals)
-
-    def name(x, i):
-        return "[%s|%d]" % (".".join(x), i)
-
-    dead = "F"
-    while dead in used:
-        dead += "'"
-    all_nts = {dead}
-    for x in table:
-        for i in range(len(x)):
-            all_nts.add(name(x, i + 1))
-
-    tables = []
-    for x in sorted(table):
-        if not x:
-            continue
-        for mi in sorted(table[x]):
-            for succ, per_origin, _ in table[x][mi]:
-                newprof = g.profile(succ)
-                t = {}
-                counter = 0
-                for i, part in enumerate(per_origin):
-                    rhs = []
-                    for s in part:
-                        if s in g._nset:
-                            counter += 1
-                            rhs.append(name(newprof, counter))
-                        else:
-                            rhs.append(s)
-                    t[name(x, i + 1)] = (tuple(rhs),)
-                for nt in all_nts:
-                    t.setdefault(nt, ((dead,),))
-                tables.append(t)
-    axiom = name((g.start,), 1)
-    all_nts.add(axiom)
-    if not tables:
-        tables.append({nt: ((dead,),) for nt in all_nts})
-    return EtolSystem(sorted(all_nts), g.terminals, axiom, tables, reduced=True)
-
-
-def _explore_etol_profiles(g, k):
-    """Reachable nonterminal profiles of a reduced ETOL system, with the
-    per-(profile, table) rewrite combinations."""
-    if not g.reduced:
-        raise PreconditionError("conversion expects a reduced ETOL system")
-    from itertools import product as iproduct
-
-    start = (g.axiom,)
-    seen = {start}
-    frontier = [start]
-    table = {}
-    while frontier:
-        x = frontier.pop()
-        if len(x) > k:
-            raise IndexExceeded("profile %r exceeds index bound %d" % (x, k))
-        combos = {}
-        for ti, t in enumerate(g.tables):
-            opts = [t.get(s) for s in x]
-            if any(o is None for o in opts):
-                continue
-            all_combos = []
-            for choice in iproduct(*opts):
-                newprof = tuple(
-                    s for part in choice for s in part if g.is_nonterminal(s)
-                )
-                all_combos.append((choice, newprof))
-                if newprof not in seen:
-                    seen.add(newprof)
-                    frontier.append(newprof)
-            combos[ti] = all_combos
-        table[x] = combos
-    return table
+    return _row_etol(
+        _matrix_profiles(g, k), (g.start,), g.terminals,
+        lambda x, i: "[%s|%d]" % (".".join(x), i),
+    )
 
 
 def reduced_etol_to_edtol(g, k):
     """Deterministic reduced system: nonterminals get packed position
     subscripts; one table per (profile, table, rewrite combination)."""
-    table = _explore_etol_profiles(g, k)
-    used = set(g.sigma)
-
-    def name(sym, i):
-        return "%s@%d" % (sym, i)
-
-    dead = "F"
-    while dead in used:
-        dead += "'"
-    all_nts = {dead, name(g.axiom, 1)}
-    for x in table:
-        for i, s in enumerate(x):
-            all_nts.add(name(s, i + 1))
-
-    new_tables = []
-    for x in sorted(table):
-        if not x:
-            continue
-        for ti in sorted(table[x]):
-            for choice, newprof in table[x][ti]:
-                t = {}
-                counter = 0
-                for i, part in enumerate(choice):
-                    rhs = []
-                    for s in part:
-                        if g.is_nonterminal(s):
-                            counter += 1
-                            rhs.append(name(s, counter))
-                            all_nts.add(name(s, counter))
-                        else:
-                            rhs.append(s)
-                    t[name(x[i], i + 1)] = (tuple(rhs),)
-                new_tables.append(t)
-    for t in new_tables:
-        for nt in all_nts:
-            t.setdefault(nt, ((dead,),))
-    if not new_tables:
-        new_tables.append({nt: ((dead,),) for nt in all_nts})
-    return EtolSystem(
-        sorted(all_nts), g.sigma, name(g.axiom, 1), new_tables, reduced=True
+    return _row_etol(
+        _etol_profiles(g, k), (g.axiom,), g.sigma, lambda x, i: "%s@%d" % (x[i - 1], i)
     )
 
 
@@ -586,55 +529,9 @@ def reduced_etol_to_matrix(g, k):
 
     Position-subscripted nonterminals plus a row-width end marker make
     each matrix applicable from exactly one profile, so derivations map
-    bijectively and counts survive the trip.  Subscript namespaces
-    alternate by step parity to keep a matrix's fresh names apart from
-    the row names later productions of the same matrix rewrite."""
-    table = _explore_etol_profiles(g, k)
-    used = set(g.sigma)
-
-    def name(sym, i, parity):
-        return "%s@%d%s" % (sym, i, "ab"[parity])
-
-    marker = "#row"
-    while any(name(marker, i, p) in used for i in range(k + 2) for p in (0, 1)):
-        marker += "'"
-    start0 = "S0"
-    while start0 in used:
-        start0 += "'"
-
-    nts = {start0}
-    matrices = [((start0, (name(g.axiom, 1, 0), name(marker, 2, 0))),)]
-    nts.add(name(g.axiom, 1, 0))
-    nts.add(name(marker, 2, 0))
-    for parity in (0, 1):
-        for x in sorted(table):
-            if not x:
-                continue
-            for ti in sorted(table[x]):
-                for choice, newprof in table[x][ti]:
-                    if len(newprof) > k:
-                        raise IndexExceeded(
-                            "profile %r exceeds index bound %d" % (newprof, k)
-                        )
-                    flip = 1 - parity
-                    prods = []
-                    counter = 0
-                    for i, part in enumerate(choice):
-                        rhs = []
-                        for s in part:
-                            if g.is_nonterminal(s):
-                                counter += 1
-                                rhs.append(name(s, counter, flip))
-                                nts.add(name(s, counter, flip))
-                            else:
-                                rhs.append(s)
-                        prods.append((name(x[i], i + 1, parity), tuple(rhs)))
-                        nts.add(name(x[i], i + 1, parity))
-                    width = len(newprof)
-                    new_mark = (name(marker, width + 1, flip),) if width else ()
-                    prods.append((name(marker, len(x) + 1, parity), new_mark))
-                    nts.add(name(marker, len(x) + 1, parity))
-                    if new_mark:
-                        nts.add(new_mark[0])
-                    matrices.append(tuple(prods))
-    return MatrixGrammar(sorted(nts), g.sigma, start0, matrices)
+    bijectively and counts survive the trip."""
+    return _row_matrices(
+        _etol_profiles(g, k), k, g.axiom, g.sigma,
+        lambda s, i, p: "%s@%d%s" % (s, i, "ab"[p]),
+        "#row", set(g.sigma) | set(g.v),
+    )

@@ -147,9 +147,8 @@ def path_counts(ws, bound):
     pump, useful = _pump_states(ws)
     edges = [e for e in _edges(ws) if e[0] in useful and e[2] in useful]
 
-    # which weights admit an accepted path through a pump state
-    # reach[(q, w, touched)] via breadth-first relaxation
-    touched = {}
+    # which weights admit an accepted path through a pump state: a
+    # breadth-first search over (state, weight, passed a pump state yet)
     frontier = [(ws.dfa.initial, zero, ws.dfa.initial in pump)]
     seenr = {frontier[0]}
     infinite_weights = set()
@@ -169,9 +168,6 @@ def path_counts(ws, bound):
                     seenr.add(item)
                     nxt.append(item)
         frontier = nxt
-    # close infinite weights upward along zero loops: once a weight is
-    # infinite, padding the path with more zero-cycle turns keeps it so
-    # (the weight is unchanged, so the set is already closed)
 
     # exact counts on the pump-free useful subgraph
     adj = {}
@@ -204,12 +200,10 @@ def path_counts(ws, bound):
             topo(q)
     topo_order = list(reversed(order))
 
-    by_total = {}
     start = ws.dfa.initial
     counts = {}
     if start not in pump:
         counts[(start, zero)] = 1
-    weights_at = {0: [zero]} if ws.mode == "length" else None
 
     # enumerate weight values in increasing total order
     all_weights = {zero}

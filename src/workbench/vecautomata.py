@@ -102,11 +102,12 @@ class EquationSystem:
         cols = {len(row) for row in matrix}
         if len(cols) > 1:
             raise ValueError("ragged coefficient matrix")
-        ncols = cols.pop() if cols else 0
+        ncols = cols.pop() if cols else None
         if existential is None:
-            existential = (False,) * ncols
+            existential = (False,) * (ncols or 0)
         existential = tuple(bool(x) for x in existential)
-        if len(existential) != ncols:
+        # with no equations the flags alone fix the number of variables
+        if ncols is not None and len(existential) != ncols:
             raise ValueError("one existential flag per column required")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "rhs", rhs)
@@ -122,7 +123,7 @@ def from_equations(eq):
     rows = eq.matrix
     # A·d for every digit tuple, one column at a time, in digit_tuples order
     ads = [(0,) * len(rows)]
-    for column in zip(*rows):
+    for column in [tuple(row[j] for row in rows) for j in range(eq.n_vars)]:
         ads = [v for ad in ads for v in (ad, tuple(map(add, ad, column)))]
     buckets = {}
     for d, ad in zip(digit_tuples(eq.n_vars), ads):

@@ -1,6 +1,7 @@
 """Matrix application, normal form, Szilard automaton, theta, conversions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from workbench.foundation import comm_equivalent, enumerate_language, word
 from workbench import etol
@@ -122,6 +123,22 @@ def test_normal_form_index_exceeded():
     )
     with pytest.raises(mx.IndexExceeded):
         mx.normal_form(g, 2)
+
+
+def test_normal_form_marker_avoids_nonterminal_names():
+    # a nonterminal named like the end marker must not share registers
+    # with it, or a narrow row's matrix applies to a wider row
+    g = mx.MatrixGrammar(("S", "#"), ("a",), "S", [
+        (("S", ("#", "#")),),
+        (("#", ("a", "#")),),
+        (("#", ()),),
+    ])
+    out, cert = mx.normal_form(g, 2)
+    assert not cert.already_normal
+    before = mx.count_derivations(g, word("aa"))
+    after = mx.count_derivations(out, word("aa"), max_depth=30)
+    assert before.exact and after.exact
+    assert before.value == after.value == 14
 
 
 def test_theta_copy_fixture():
@@ -278,6 +295,21 @@ def test_reduced_etol_to_matrix_empty_system():
     assert enumerate_language(back, 5).require_complete().words == []
 
 
+def test_reduced_etol_to_matrix_marker_avoids_nonterminal_names():
+    g = etol.EtolSystem(
+        v=("S", "#row"),
+        sigma=("a",),
+        axiom="S",
+        tables=[{"S": [("#row", "#row")], "#row": [(), ("#row", "a")]}],
+        reduced=True,
+    )
+    back = mx.reduced_etol_to_matrix(g, 2)
+    tc = etol.count_trees(g, word("aa"))
+    dc = mx.count_derivations(back, word("aa"), max_depth=30)
+    assert tc.exact and dc.exact
+    assert tc.value == dc.value == 3
+
+
 def test_conversion_chain_preserves_counts_on_ambiguous_fixture():
     g = etol.EtolSystem(
         v=("S", "A", "B"),
@@ -289,3 +321,66 @@ def test_conversion_chain_preserves_counts_on_ambiguous_fixture():
     back = mx.reduced_etol_to_matrix(g, 1)
     dc = mx.count_derivations(back, ("a",), max_depth=12)
     assert dc.exact and dc.value == 2
+
+
+# Small random systems for the conversion round trips: nonterminals S, A,
+# B with S the start, at most 3 rules.  S never reappears and only S
+# branches into two nonterminals, so every profile has length <= 2 (the
+# index).  Every other right-hand side is empty or emits a terminal, so
+# each step shortens the profile or lengthens the word: derivations of a
+# word are finite and their counts exact.
+@st.composite
+def _rhs(draw, others, from_start):
+    nts = []
+    if others:
+        nts = draw(st.lists(st.sampled_from(others), max_size=2 if from_start else 1))
+    min_ts = 1 if nts and not from_start else 0
+    ts = draw(st.lists(st.sampled_from("ab"), min_size=min_ts, max_size=2))
+    return tuple(draw(st.permutations(nts + ts)))
+
+
+@st.composite
+def small_systems(draw, kind):
+    nts = ("S", "A", "B")[: draw(st.integers(1, 3))]
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhss = draw(st.lists(st.sampled_from(nts), min_size=1, max_size=2,
+                             unique=kind == "etol"))
+        rules.append([(x, draw(_rhs(nts[1:], x == "S"))) for x in lhss])
+    if kind == "matrix":
+        return mx.MatrixGrammar(nts, "ab", "S", rules)
+    tables = []
+    for rule in rules:
+        table = {x: [rhs] for x, rhs in rule}
+        for x in table:
+            table[x] += draw(st.lists(_rhs(nts[1:], x == "S"), max_size=1))
+        tables.append(table)
+    return etol.EtolSystem(nts, "ab", "S", tables, reduced=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems("etol"))
+def test_etol_conversions_on_small_systems(g):
+    words = enumerate_language(g, 6).require_complete().words
+    det = mx.reduced_etol_to_edtol(g, 2)
+    assert "EDTOL" in etol.classify(det)
+    assert enumerate_language(det, 6).require_complete().words == words
+    back = mx.reduced_etol_to_matrix(g, 2)
+    mx.szilard_dfa(back, 3)    # raises unless the output is in normal form
+    assert enumerate_language(back, 6).require_complete().words == words
+    for w in words:
+        tc = etol.count_trees(g, w)
+        dc = mx.count_derivations(back, w, max_depth=4 * len(w) + 16)
+        assert tc.exact and dc.exact and tc.value == dc.value, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems("matrix"))
+def test_matrix_to_reduced_etol_on_small_grammars(g):
+    words = enumerate_language(g, 6).require_complete().words
+    sysr = mx.matrix_to_reduced_etol(g, 2)
+    assert enumerate_language(sysr, 6).require_complete().words == words
+    for w in words:
+        dc = mx.count_derivations(g, w)
+        tc = etol.count_trees(sysr, w)
+        assert dc.exact and tc.exact and dc.value == tc.value, w

@@ -28,6 +28,15 @@ def test_from_equations_zero_only():
         assert not m.accepts_vector((x,))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_from_equations_no_equations_is_universe(n):
+    # with no rows the existential flags give the variable count, and
+    # every digit tuple solves the empty system
+    eq = va.EquationSystem([], [], (False,) * n)
+    assert eq.n_vars == n
+    assert va.equivalent(va.from_equations(eq), va.universe(n))
+
+
 def test_from_equations_double():
     # x1 - 2*x2 = 0
     m = va.from_equations(va.EquationSystem([(1, -2)], (0,)))
