@@ -37,7 +37,7 @@ from .foundation import (
     enumerate_language,
     parikh,
     show_word,
-    sort_words,
+    _words_up_to,
 )
 from .semilinear import (
     BoundedSpec,
@@ -294,16 +294,7 @@ def cmd_convert(args):
         alph = Alphabet(args.letters)
         out = counter.from_semilinear(obj, alph)
         got = enumerate_language(out, check, budget).require_complete().as_set()
-        expect = set()
-        frontier = [()]
-        for _ in range(check + 1):
-            nxt = []
-            for w in frontier:
-                if member(obj, parikh(w, alph)):
-                    expect.add(w)
-                if len(w) < check:
-                    nxt.extend(w + (a,) for a in alph)
-            frontier = nxt
+        expect = {w for w in _words_up_to(alph, check) if member(obj, parikh(w, alph))}
         report.append("oracle-equal <= %d: %s" % (check, "PASS" if got == expect else "FAIL"))
         ok = got == expect
     elif isinstance(obj, SemilinearSet) and args.to == "etol":

@@ -16,9 +16,9 @@ from itertools import permutations
 
 from .foundation import (
     Alphabet,
-    DEFAULT_BUDGET,
-    Enumeration,
     PreconditionError,
+    _breadth_first,
+    _budgeted,
     comm_equivalent,
     enumerate_language,
     parikh,
@@ -187,25 +187,18 @@ def _enumerate_witness(wit, max_len, budget):
     adj = {}
     for src, w, dst in wit.edges:
         adj.setdefault(src, []).append((tuple(w), dst))
-    out = set()
-    seen = {(wit.initial, ())}
-    frontier = [(wit.initial, ())]
-    explored = 0
-    while frontier:
-        nxt = []
-        for q, w in frontier:
-            explored += 1
-            if explored > budget.max_steps:
-                return Enumeration(sort_words(out), False, explored)
-            if q in wit.accepting:
-                out.add(w)
-            for label, dst in adj.get(q, ()):
-                t = (dst, w + label)
-                if len(t[1]) <= max_len and t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return Enumeration(sort_words(out), True, explored)
+
+    def successors(node):
+        q, w = node
+        for label, dst in adj.get(q, ()):
+            if len(w) + len(label) <= max_len:
+                yield dst, w + label
+
+    return _budgeted(
+        _breadth_first((wit.initial, ()), successors),
+        lambda node: node[1] if node[0] in wit.accepting else None,
+        budget,
+    )
 
 
 register_enumerator(RegularWitness, _enumerate_witness)
@@ -247,15 +240,28 @@ def verify_comm_equivalence(s1, s2, max_len, budget=None):
     return CommEquivalenceVerdict(False, bad, max_len)
 
 
-def _audit_matrix_unambiguous(g, audit_len):
+def _audit_unambiguous(g, audit_len, count, what):
+    """Number of words of L(g) up to audit_len, after checking that
+    ``count`` gives each exactly one derivation (``what`` names them)."""
     words = enumerate_language(g, audit_len).require_complete().words
     for w in words:
-        dc = mx.count_derivations(g, w)
-        if not (dc.exact and dc.value == 1):
+        c = count(g, w)
+        if not (c.exact and c.value == 1):
             raise PreconditionError(
-                "unambiguity audit failed at %r: %s derivations" % (w, dc)
+                "unambiguity audit failed at %r: %s %s" % (w, c, what)
             )
     return len(words)
+
+
+def _verified(wit, g, verify_len):
+    """The witness, once its Parikh multisets match L(g) up to verify_len."""
+    check = verify_comm_equivalence(wit, g, verify_len)
+    if not check:
+        raise PreconditionError(
+            "witness failed Parikh-multiset verification at %r" % (check.witness_vector,)
+        )
+    wit.provenance["verified_len"] = verify_len
+    return wit
 
 
 def regularize_matrix(g, k, code_words=None, audit_len=8, verify_len=12):
@@ -267,7 +273,7 @@ def regularize_matrix(g, k, code_words=None, audit_len=8, verify_len=12):
     the theta images."""
     dfa = mx.szilard_dfa(g, k)  # raises unless the grammar is normal-form
     th = mx.theta(g)
-    audited = _audit_matrix_unambiguous(g, audit_len)
+    audited = _audit_unambiguous(g, audit_len, mx.count_derivations, "derivations")
     if code_words is None:
         verdict = check_cor2_conditions(g)
         if not verdict:
@@ -305,13 +311,7 @@ def regularize_matrix(g, k, code_words=None, audit_len=8, verify_len=12):
             "prefix_code": prefix,
         },
     )
-    check = verify_comm_equivalence(wit, g, verify_len)
-    if not check:
-        raise PreconditionError(
-            "witness failed Parikh-multiset verification at %r" % (check.witness_vector,)
-        )
-    wit.provenance["verified_len"] = verify_len
-    return wit
+    return _verified(wit, g, verify_len)
 
 
 def right_hand_sides(g):
@@ -332,17 +332,6 @@ def _terminal_projection(g, rhs):
     return tuple(s for s in rhs if s in set(g.sigma))
 
 
-def _audit_etol_unambiguous(g, audit_len):
-    words = enumerate_language(g, audit_len).require_complete().words
-    for w in words:
-        tc = etol_mod.count_trees(g, w)
-        if not (tc.exact and tc.value == 1):
-            raise PreconditionError(
-                "unambiguity audit failed at %r: %s trees" % (w, tc)
-            )
-    return len(words)
-
-
 def regularize_etol(g, k, codes=None, audit_len=8, verify_len=12):
     """Right-linear witness for a reduced unambiguous finite-index system
     with per-nonterminal prefix codes matching the terminal projections.
@@ -353,7 +342,7 @@ def regularize_etol(g, k, codes=None, audit_len=8, verify_len=12):
     if not g.reduced:
         raise PreconditionError("regularize_etol expects a reduced system")
     profiles = mx._etol_profiles(g, k)  # raises IndexExceeded past k
-    audited = _audit_etol_unambiguous(g, audit_len)
+    audited = _audit_unambiguous(g, audit_len, etol_mod.count_trees, "trees")
     rhs_map = right_hand_sides(g)
     if codes is None:
         codes = {}
@@ -416,12 +405,7 @@ def regularize_etol(g, k, codes=None, audit_len=8, verify_len=12):
             "audited_words": audited,
         },
     )
-    check = verify_comm_equivalence(wit, g, verify_len)
-    if not check:
-        raise PreconditionError(
-            "witness failed Parikh-multiset verification at %r" % (check.witness_vector,)
-        )
-    wit.provenance["verified_len"] = verify_len
+    _verified(wit, g, verify_len)
     frag = enumerate_language(wit, verify_len).require_complete().words
     wit.provenance["witness_prefix_code_on_fragment"] = is_prefix_code(
         [w for w in frag if w]
@@ -522,11 +506,7 @@ def edol_regularize(g, k, analyze_bound=24, audit_len=10, verify_len=15):
             tuple(edges),
             {"construction": "edol-finite", "language_size": len(report.language)},
         )
-        check = verify_comm_equivalence(wit, g, verify_len)
-        if not check:
-            raise PreconditionError("finite witness mismatch")
-        wit.provenance["verified_len"] = verify_len
-        return wit
+        return _verified(wit, g, verify_len)
 
     audit = etol_mod.index_audit(g, audit_len)
     if not audit.complete or not audit.bounded_by(k):
@@ -549,10 +529,4 @@ def edol_regularize(g, k, analyze_bound=24, audit_len=10, verify_len=15):
             "analyze_bound": analyze_bound,
         },
     )
-    check = verify_comm_equivalence(wit, g, verify_len)
-    if not check:
-        raise PreconditionError(
-            "witness failed Parikh-multiset verification at %r" % (check.witness_vector,)
-        )
-    wit.provenance["verified_len"] = verify_len
-    return wit
+    return _verified(wit, g, verify_len)

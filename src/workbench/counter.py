@@ -25,7 +25,6 @@ from itertools import product
 from .foundation import (
     Alphabet,
     BudgetExhausted,
-    Budget,
     DEFAULT_BUDGET,
     Enumeration,
     PreconditionError,
@@ -121,7 +120,9 @@ class Simulator:
     """Frontier-set simulator with memoized λ-closures shared across words.
 
     Configurations are (state, counters, phases, reversals); counters are
-    capped at the scaled step budget, which also cuts λ-move cycles.
+    capped at the scaled step budget, which also cuts λ-move cycles.  A
+    run the cap cuts off is counted in ``cap_prunes``, so a search that
+    lost one can say that it is incomplete.
     """
 
     def __init__(self, machine, budget=None, max_len=64):
@@ -134,6 +135,7 @@ class Simulator:
         self._extend = {}      # (id, symbol) -> id
         self._probe = {}       # id -> bool
         self.expansions = 0
+        self.cap_prunes = 0
         start = (machine.initial, (0,) * machine.k, (0,) * machine.k, (0,) * machine.k)
         self.start_id = self._intern(frozenset([start]))
 
@@ -150,24 +152,26 @@ class Simulator:
 
     def _apply(self, config, sym):
         state, counters, phases, revs = config
+        cap, bound = self.cap, self.m.reversal_bound
         out = []
         for (p, moves) in self.m.moves_from(state, sym, counters):
             cs, phs, rvs = [], [], []
-            ok = True
+            capped = False
             for c, ph, rv, mv in zip(counters, phases, revs, moves):
                 c2 = c + mv
-                if c2 < 0 or c2 > self.cap:
-                    ok = False
-                    break
+                if c2 > cap:
+                    capped = True
                 ph2, rv2 = _bump_phase(ph, rv, mv)
-                if rv2 > self.m.reversal_bound:
-                    ok = False
+                if c2 < 0 or rv2 > bound:
                     break
                 cs.append(c2)
                 phs.append(ph2)
                 rvs.append(rv2)
-            if ok:
-                out.append((p, tuple(cs), tuple(phs), tuple(rvs)))
+            else:
+                if capped:
+                    self.cap_prunes += 1
+                else:
+                    out.append((p, tuple(cs), tuple(phs), tuple(rvs)))
         return out
 
     def closure_id(self, set_id):
@@ -235,13 +239,21 @@ class Simulator:
 
 
 def accepts(m, w, budget=None):
-    """True iff some admissible run accepts w; BudgetExhausted on cutoff."""
+    """True iff some admissible run accepts w; BudgetExhausted on cutoff,
+    and in place of False when the counter cap cut off a run."""
     sim = Simulator(m, budget, max_len=max(len(w), 1))
-    return sim.accepts(tuple(w))
+    if sim.accepts(tuple(w)):
+        return True
+    if sim.cap_prunes:
+        raise BudgetExhausted(
+            "counter cap %d cut off a run (%d prunes)" % (sim.cap, sim.cap_prunes)
+        )
+    return False
 
 
 def accepted_words(m, max_len, budget=None):
-    """All accepted words of length <= max_len, prefix-tree order shared."""
+    """All accepted words of length <= max_len, prefix-tree order shared;
+    incomplete when the budget or the counter cap cut the search."""
     budget = budget or DEFAULT_BUDGET
     sim = Simulator(m, budget, max_len=max_len)
     out = []
@@ -261,6 +273,7 @@ def accepted_words(m, max_len, budget=None):
             complete = False
 
     walk((), sim.start_id)
+    complete = complete and not sim.cap_prunes
     return Enumeration(sort_words(out), complete, sim.expansions)
 
 

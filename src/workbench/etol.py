@@ -13,9 +13,15 @@ Two table conventions coexist:
 
 Derivation trees are compared structurally *including the table used at
 each level*: two trees that apply identical productions but name
-different tables are distinct.  The tree-count search memoizes on
-(sentential form, depth) so unit cycles surface as a budget-marked
-">= n" lower bound instead of nontermination.
+different tables are distinct.
+
+One counter serves every derivation count in the workbench:
+:func:`_count_paths` counts the weighted paths from a start form to a
+word, memoized on (sentential form, depth), so unit cycles surface as a
+budget-marked ">= n" lower bound instead of nontermination.
+:func:`count_trees` runs it over ETOL steps (weighted by the choice
+vectors reaching a successor), ``matrix.count_derivations`` over matrix
+applications (one per per-origin row).
 """
 
 from __future__ import annotations
@@ -25,12 +31,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from .foundation import (
-    Budget,
     DEFAULT_BUDGET,
-    Enumeration,
     PreconditionError,
+    _breadth_first,
+    _budgeted,
     register_enumerator,
-    sort_words,
 )
 from .semilinear import phi, member, validate_semi_simple, _tuples_within_length
 
@@ -90,7 +95,7 @@ class EtolSystem:
         return s in self._vset if self.reduced else s not in self._sset
 
     def is_word(self, sentential):
-        return all(s in self._sset for s in sentential)
+        return self._sset.issuperset(sentential)
 
     def table_deterministic(self, i):
         """Exactly one image for every rewritable symbol."""
@@ -203,32 +208,17 @@ def min_yield(g, sentential, m=None):
 
 def enumerate_etol(g, max_len, budget=None):
     """L(G) ∩ Σ^{≤max_len} by breadth-first search over sentential forms."""
-    budget = budget or DEFAULT_BUDGET
     m = min_yield_map(g)
-    start = (g.axiom,)
-    seen = {start}
-    frontier = [start]
-    words = set()
-    explored = 0
-    complete = True
-    while frontier:
-        nxt = []
-        for s in frontier:
-            explored += 1
-            if explored > budget.max_steps:
-                return Enumeration(sort_words(words), False, explored)
-            if g.is_word(s) and len(s) <= max_len:
-                words.add(s)
-            for ti in range(len(g.tables)):
-                for succ in step(g, s, ti):
-                    if succ in seen:
-                        continue
-                    if min_yield(g, succ, m) > max_len:
-                        continue
-                    seen.add(succ)
-                    nxt.append(succ)
-        frontier = nxt
-    return Enumeration(sort_words(words), complete, explored)
+
+    def successors(s):
+        for ti in range(len(g.tables)):
+            yield from step(g, s, ti)
+
+    return _budgeted(
+        _breadth_first((g.axiom,), successors, lambda s: sum(m[x] for x in s) <= max_len),
+        lambda s: s if g.is_word(s) and len(s) <= max_len else None,
+        budget or DEFAULT_BUDGET,
+    )
 
 
 register_enumerator(EtolSystem, enumerate_etol)
@@ -250,57 +240,75 @@ def _is_subsequence(small, big):
     return all(s in it for s in small)
 
 
-def count_trees(g, w, max_depth=None, cap=4096):
-    """Number of distinct derivation trees of w, within depth/count budget.
+def _count_paths(start, w, successors, is_word, final, persistent, yields,
+                max_depth=None, cap=4096):
+    """Weighted number of rewriting paths from ``start`` to the word w.
 
-    A tree is the full record of one derivation: the table chosen at
-    each level plus the production applied at every node.  Counts are
-    exact for reduced systems without unit cycles; when the search hits
-    the depth or count cap the result is a lower bound.
+    ``successors(s)`` gives (successor, multiplicity) pairs; a path's
+    weight is the product of its multiplicities.  A word ends a path when
+    ``final`` holds (it is never rewritten) and is counted on the way
+    otherwise.  Successors whose least yield (``yields`` per symbol)
+    exceeds |w|, or whose ``persistent`` symbols are no subsequence of
+    w's, are pruned.  The count is exact unless the search hits the depth
+    or count cap; it is then a lower bound.
     """
     w = tuple(w)
     if max_depth is None:
         max_depth = 4 * len(w) + 12
-    m = min_yield_map(g)
-    if g.reduced:
-        persistent = set(g.sigma)
-    else:
-        persistent = (set(g.v) | set(g.sigma)) - g.active_symbols()
     w_persist = tuple(s for s in w if s in persistent)
     memo = {}
 
     def count(s, depth):
-        if g.is_word(s):
+        base = 0
+        if is_word(s):
             base = 1 if s == w else 0
-            if g.reduced:
+            if final:
                 return (base, True)
-        else:
-            base = 0
         if depth == 0:
             return (base, False)
         key = (s, depth)
         if key in memo:
             return memo[key]
         total, exact = base, True
-        for ti in range(len(g.tables)):
-            for succ, mult in step_with_multiplicity(g, s, ti).items():
-                if min_yield(g, succ, m) > len(w):
-                    continue
-                if not _is_subsequence(
-                    tuple(x for x in succ if x in persistent), w_persist
-                ):
-                    continue
-                sub, sub_exact = count(succ, depth - 1)
-                total += mult * sub
-                exact = exact and sub_exact
-                if total >= cap:
-                    memo[key] = (cap, False)
-                    return memo[key]
+        for succ, mult in successors(s):
+            if sum(yields[x] for x in succ) > len(w):
+                continue
+            if not _is_subsequence(tuple(x for x in succ if x in persistent), w_persist):
+                continue
+            sub, sub_exact = count(succ, depth - 1)
+            total += mult * sub
+            exact = exact and sub_exact
+            if total >= cap:
+                memo[key] = (cap, False)
+                return memo[key]
         memo[key] = (total, exact)
         return memo[key]
 
-    value, exact = count((g.axiom,), max_depth)
-    return TreeCount(value, exact)
+    return TreeCount(*count(start, max_depth))
+
+
+def count_trees(g, w, max_depth=None, cap=4096):
+    """Number of distinct derivation trees of w, within depth/count budget.
+
+    A tree is the full record of one derivation: the table chosen at
+    each level plus the production applied at every node.  Counts are
+    exact for reduced systems without unit cycles; when the search hits
+    the depth or count cap the result is a lower bound.  Plain systems
+    rewrite terminals too, so their words are not final.
+    """
+    if g.reduced:
+        persistent = set(g.sigma)
+    else:
+        persistent = (set(g.v) | set(g.sigma)) - g.active_symbols()
+
+    def successors(s):
+        for ti in range(len(g.tables)):
+            yield from step_with_multiplicity(g, s, ti).items()
+
+    return _count_paths(
+        (g.axiom,), w, successors, g.is_word, g.reduced, persistent,
+        min_yield_map(g), max_depth, cap,
+    )
 
 
 @dataclass

@@ -11,12 +11,23 @@ enumerated up to a length bound through :func:`enumerate_language`.  The
 enumeration is the desk-scale oracle the whole test suite leans on:
 deterministic output, explicit budget, and an explicit ``complete`` flag
 so "search ran out" is never confused with "language is empty here".
+
+Every budgeted enumerator runs on one frontier.  :func:`_budgeted` owns
+the budget: it counts the nodes it is handed in ``explored``, stops
+after ``max_steps`` of them, and collects the words they yield into the
+:class:`Enumeration`.  The nodes come from :func:`_breadth_first` (each
+node reachable through a ``successors`` function and not pruned by a
+``keep`` test, once, layer by layer), from :func:`_words_up_to` (Σ^{≤n}
+in length-then-alphabet order) or from any other generator, so an
+enumerator only says how a node expands, which nodes it keeps and
+which word a node yields.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass
+from itertools import product
 
 
 class BudgetExhausted(RuntimeError):
@@ -167,6 +178,46 @@ def sort_words(words):
     return sorted(set(map(tuple, words)), key=lambda w: (len(w), w))
 
 
+def _budgeted(nodes, word_of, budget):
+    """The words ``word_of(node)`` yields over ``nodes`` (None: no word).
+
+    Every node drawn counts in ``explored``; drawing one past
+    ``budget.max_steps`` ends the search with ``complete=False``."""
+    words = set()
+    explored = 0
+    for node in nodes:
+        explored += 1
+        if explored > budget.max_steps:
+            return Enumeration(sort_words(words), False, explored)
+        w = word_of(node)
+        if w is not None:
+            words.add(w)
+    return Enumeration(sort_words(words), True, explored)
+
+
+def _breadth_first(start, successors, keep=None):
+    """Every node reachable from ``start`` through ``successors``, once
+    each, in breadth-first (discovery) order.  A successor that ``keep``
+    rejects is pruned; each node is tested once, however often it is
+    generated."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        yield node
+        for nxt in successors(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                if keep is None or keep(nxt):
+                    queue.append(nxt)
+
+
+def _words_up_to(alphabet, n):
+    """Σ^{≤n} by length, then lexicographic in the alphabet's order."""
+    for length in range(n + 1):
+        yield from product(alphabet, repeat=length)
+
+
 _ENUMERATORS = {}
 
 
@@ -209,33 +260,31 @@ register_enumerator(FiniteLanguage, _enumerate_finite)
 
 @dataclass(frozen=True)
 class RegexLanguage:
-    """A regex over a finite alphabet, enumerated by filtering Σ^{≤n}."""
+    """A regex over a finite alphabet, enumerated by filtering Σ^{≤n}.
+
+    Words are matched as the concatenation of their symbols, so every
+    symbol must be a single character."""
 
     pattern: str
     alphabet: Alphabet
+
+    def __post_init__(self):
+        multi = [s for s in self.alphabet if len(s) != 1]
+        if multi:
+            raise PreconditionError(
+                "regex alphabet needs single-character symbols, got %r" % (multi,)
+            )
 
 
 def _enumerate_regex(spec, max_len, budget):
     import re
 
     rx = re.compile(spec.pattern)
-    out = []
-    explored = 0
-    frontier = [EMPTY_WORD]
-    for _ in range(max_len + 1):
-        next_frontier = []
-        for w in frontier:
-            explored += 1
-            if explored > budget.max_steps:
-                return Enumeration(sort_words(out), False, explored)
-            if rx.fullmatch("".join(w)):
-                out.append(w)
-            if len(w) < max_len:
-                next_frontier.extend(w + (a,) for a in spec.alphabet)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return Enumeration(sort_words(out), True, explored)
+    return _budgeted(
+        _words_up_to(spec.alphabet, max_len),
+        lambda w: w if rx.fullmatch("".join(w)) else None,
+        budget,
+    )
 
 
 register_enumerator(RegexLanguage, _enumerate_regex)

@@ -35,16 +35,17 @@ applications that inflate ambiguity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .foundation import (
     DEFAULT_BUDGET,
-    Enumeration,
     PreconditionError,
+    _breadth_first,
+    _budgeted,
     register_enumerator,
-    sort_words,
 )
-from .etol import EtolSystem, TreeCount, _is_subsequence, _least_yields, _options
+from .etol import EtolSystem, _count_paths, _least_yields, _options
 
 
 class IndexExceeded(PreconditionError):
@@ -86,7 +87,7 @@ class MatrixGrammar:
         self._tset = tset
 
     def is_word(self, sentential):
-        return all(s in self._tset for s in sentential)
+        return self._tset.issuperset(sentential)
 
     def profile(self, sentential):
         return tuple(s for s in sentential if s in self._nset)
@@ -143,33 +144,18 @@ def _min_yield_map(g):
 
 
 def enumerate_matrix(g, max_len, budget=None):
-    budget = budget or DEFAULT_BUDGET
     m = _min_yield_map(g)
-    start = (g.start,)
-    seen = {start}
-    frontier = [start]
-    words = set()
-    explored = 0
-    while frontier:
-        nxt = []
-        for s in frontier:
-            explored += 1
-            if explored > budget.max_steps:
-                return Enumeration(sort_words(words), False, explored)
-            if g.is_word(s):
-                if len(s) <= max_len:
-                    words.add(s)
-                continue
+
+    def successors(s):
+        if not g.is_word(s):
             for mi in range(len(g.matrices)):
-                for succ in apply_matrix(g, s, mi):
-                    if succ in seen:
-                        continue
-                    if sum(m[x] for x in succ) > max_len:
-                        continue
-                    seen.add(succ)
-                    nxt.append(succ)
-        frontier = nxt
-    return Enumeration(sort_words(words), True, explored)
+                yield from apply_matrix(g, s, mi)
+
+    return _budgeted(
+        _breadth_first((g.start,), successors, lambda s: sum(m[x] for x in s) <= max_len),
+        lambda s: s if g.is_word(s) and len(s) <= max_len else None,
+        budget or DEFAULT_BUDGET,
+    )
 
 
 register_enumerator(MatrixGrammar, enumerate_matrix)
@@ -178,39 +164,16 @@ register_enumerator(MatrixGrammar, enumerate_matrix)
 def count_derivations(g, w, max_depth=None, cap=4096):
     """Distinct derivations of w, a derivation being a sequence of
     (matrix, per-origin tuple) steps; exact unless the budget is hit."""
-    w = tuple(w)
-    if max_depth is None:
-        max_depth = 4 * len(w) + 12
-    mym = _min_yield_map(g)
-    w_terms = w
-    memo = {}
 
-    def count(s, depth):
-        if g.is_word(s):
-            return (1 if s == w else 0, True)
-        if depth == 0:
-            return (0, False)
-        key = (s, depth)
-        if key in memo:
-            return memo[key]
-        total, exact = 0, True
+    def successors(s):
         for mi in range(len(g.matrices)):
             for succ, _, _ in matrix_applications(g, s, mi):
-                if sum(mym[x] for x in succ) > len(w):
-                    continue
-                if not _is_subsequence(tuple(x for x in succ if x in g._tset), w_terms):
-                    continue
-                sub, sub_exact = count(succ, depth - 1)
-                total += sub
-                exact = exact and sub_exact
-                if total >= cap:
-                    memo[key] = (cap, False)
-                    return memo[key]
-        memo[key] = (total, exact)
-        return memo[key]
+                yield succ, 1
 
-    value, exact = count((g.start,), max_depth)
-    return TreeCount(value, exact)
+    return _count_paths(
+        (g.start,), w, successors, g.is_word, True, g._tset,
+        _min_yield_map(g), max_depth, cap,
+    )
 
 
 def _explore(start, k, rows):
@@ -288,18 +251,33 @@ def _renamed(parts, terminals, name):
     return out
 
 
-def _row_matrices(table, k, start, terminals, name, marker, used):
+def _separator(sep, taken, names):
+    """``sep``, grown by its first character until ``names(sep)`` avoids
+    every symbol in ``taken``."""
+    while not taken.isdisjoint(names(sep)):
+        sep += sep[0]
+    return sep
+
+
+def _row_matrices(table, k, start, terminals, name, sep, marker, used):
     """Matrix grammar with one matrix per (parity, profile, rule, row).
 
-    A row's nonterminals become registers name(symbol, i, parity), packed
-    1..n left to right, followed by the end marker name(marker, n + 1,
-    parity) carrying the row width.  Each matrix rewrites its entire row
-    plus the marker, so it applies from exactly one profile and
-    derivation counts survive.  Registers alternate between two
+    A row's nonterminals become registers name(symbol, i, parity, sep),
+    packed 1..n left to right, followed by the end marker name(marker,
+    n + 1, parity, sep) carrying the row width.  Each matrix rewrites its
+    entire row plus the marker, so it applies from exactly one profile
+    and derivation counts survive.  Registers alternate between two
     namespaces by step parity so the fresh names a matrix introduces can
     never collide with the names a later production of the same matrix
-    still has to rewrite.  ``used`` holds every input symbol: the marker
-    must not share its registers with a nonterminal's."""
+    still has to rewrite.  The separator grows until no register is an
+    input terminal.  ``used`` holds every input symbol: the marker must
+    not share its registers with a nonterminal's."""
+    tset = set(terminals)
+    symbols = {s for x in table for s in x}
+    sep = _separator(sep, tset, lambda sep: {
+        name(s, i, p, sep) for s in symbols for i in range(1, k + 1) for p in (0, 1)
+    })
+    name = partial(name, sep=sep)
     while marker in used or any(
         name(marker, i, p) in used for i in range(k + 2) for p in (0, 1)
     ):
@@ -307,7 +285,6 @@ def _row_matrices(table, k, start, terminals, name, marker, used):
     start0 = "S0"
     while start0 in used:
         start0 += "'"
-    tset = set(terminals)
     matrices = [((start0, (name(start, 1, 0), name(marker, 2, 0))),)]
     for parity in (0, 1):
         flip = 1 - parity
@@ -326,14 +303,19 @@ def _row_matrices(table, k, start, terminals, name, marker, used):
     return MatrixGrammar(sorted(nts), terminals, start0, matrices)
 
 
-def _row_etol(table, start, terminals, name):
+def _row_etol(table, start, terminals, name, sep):
     """Reduced ETOL with one deterministic table per (profile, rule, row).
 
-    Position i of profile x is the nonterminal name(x, i).  A table sends
-    its row to the successor row's names and every other nonterminal to
-    the dead symbol, so it applies from exactly one profile and
-    derivation counts survive."""
+    Position i of profile x is the nonterminal name(x, i, sep), the
+    separator grown until no such name is an input terminal.  A table
+    sends its row to the successor row's names and every other
+    nonterminal to the dead symbol, so it applies from exactly one
+    profile and derivation counts survive."""
     tset = set(terminals)
+    sep = _separator(sep, tset, lambda sep: {
+        name(x, i, sep) for x in table for i in range(1, len(x) + 1)
+    })
+    name = partial(name, sep=sep)
     dead = "F"
     while dead in tset:
         dead += "'"
@@ -384,7 +366,7 @@ def normal_form(g, k):
         return g, NormalFormCert(k, tuple(sorted(table)), True)
     out = _row_matrices(
         table, k, g.start, g.terminals,
-        lambda s, i, p: "[%s|%d%s]" % (s, i, "ab"[p]),
+        lambda s, i, p, sep: "[%s%s%d%s]" % (s, sep, i, "ab"[p]), "|",
         "#", set(g.terminals) | set(g.nonterminals),
     )
     cert_table = _matrix_profiles(out, k + 2)
@@ -427,21 +409,18 @@ class SzilardDFA:
         return q in self.accepting
 
     def accepted_strings(self, max_len):
-        out = []
-        frontier = [(self.initial, ())]
-        while frontier:
-            nxt = []
-            for q, seq in frontier:
-                if q in self.accepting:
-                    out.append(seq)
-                if len(seq) == max_len:
-                    continue
+        def successors(node):
+            q, seq = node
+            if len(seq) < max_len:
                 for a in range(self.n_letters):
                     t = self.transitions.get((q, a))
                     if t is not None:
-                        nxt.append((t, seq + (a,)))
-            frontier = nxt
-        return out
+                        yield t, seq + (a,)
+
+        return [
+            seq for q, seq in _breadth_first((self.initial, ()), successors)
+            if q in self.accepting
+        ]
 
 
 def szilard_dfa(g, k):
@@ -472,21 +451,18 @@ def dfa_equivalent(d1, d2):
     if d1.n_letters != d2.n_letters:
         return False
     DEAD = -1
-    seen = {(d1.initial, d2.initial)}
-    stack = [(d1.initial, d2.initial)]
-    while stack:
-        q1, q2 = stack.pop()
-        acc1 = q1 != DEAD and q1 in d1.accepting
-        acc2 = q2 != DEAD and q2 in d2.accepting
-        if acc1 != acc2:
-            return False
+
+    def successors(pair):
+        q1, q2 = pair
         for a in range(d1.n_letters):
-            t1 = d1.transitions.get((q1, a), DEAD) if q1 != DEAD else DEAD
-            t2 = d2.transitions.get((q2, a), DEAD) if q2 != DEAD else DEAD
-            if (t1, t2) != (DEAD, DEAD) and (t1, t2) not in seen:
-                seen.add((t1, t2))
-                stack.append((t1, t2))
-    return True
+            t = (d1.transitions.get((q1, a), DEAD), d2.transitions.get((q2, a), DEAD))
+            if t != (DEAD, DEAD):
+                yield t
+
+    return all(
+        (q1 in d1.accepting) == (q2 in d2.accepting)
+        for q1, q2 in _breadth_first((d1.initial, d2.initial), successors)
+    )
 
 
 def replay(g, alpha):
@@ -512,7 +488,7 @@ def matrix_to_reduced_etol(g, k):
     matrix, application); everything foreign falls to the dead symbol."""
     return _row_etol(
         _matrix_profiles(g, k), (g.start,), g.terminals,
-        lambda x, i: "[%s|%d]" % (".".join(x), i),
+        lambda x, i, sep: "[%s%s%d]" % (".".join(x), sep, i), "|",
     )
 
 
@@ -520,7 +496,8 @@ def reduced_etol_to_edtol(g, k):
     """Deterministic reduced system: nonterminals get packed position
     subscripts; one table per (profile, table, rewrite combination)."""
     return _row_etol(
-        _etol_profiles(g, k), (g.axiom,), g.sigma, lambda x, i: "%s@%d" % (x[i - 1], i)
+        _etol_profiles(g, k), (g.axiom,), g.sigma,
+        lambda x, i, sep: "%s%s%d" % (x[i - 1], sep, i), "@",
     )
 
 
@@ -532,6 +509,6 @@ def reduced_etol_to_matrix(g, k):
     bijectively and counts survive the trip."""
     return _row_matrices(
         _etol_profiles(g, k), k, g.axiom, g.sigma,
-        lambda s, i, p: "%s@%d%s" % (s, i, "ab"[p]),
+        lambda s, i, p, sep: "%s%s%d%s" % (s, sep, i, "ab"[p]), "@",
         "#row", set(g.sigma) | set(g.v),
     )

@@ -21,13 +21,11 @@ from itertools import product
 
 from .foundation import (
     Alphabet,
-    Enumeration,
     PreconditionError,
-    comm_equivalent,
+    _budgeted,
     decompositions,
     parikh,
     register_enumerator,
-    sort_words,
 )
 
 
@@ -212,54 +210,48 @@ def _tuples_within_length(words, max_len):
 
 
 def _enumerate_bounded(spec, max_len, budget):
-    out = set()
-    explored = 0
-    for t in _tuples_within_length(spec.words, max_len):
-        explored += 1
-        if explored > budget.max_steps:
-            return Enumeration(sort_words(out), False, explored)
+    def word_of(t):
         if spec.kind in ("ginsburg", "ginsburg-parikh") and not member(spec.q1, t):
-            continue
+            return None
         w = phi(spec.words, t)
         if spec.kind in ("parikh", "ginsburg-parikh") and not member(
             spec.q2, parikh(w, spec.alphabet)
         ):
-            continue
-        out.add(w)
-    return Enumeration(sort_words(out), True, explored)
+            return None
+        return w
+
+    return _budgeted(_tuples_within_length(spec.words, max_len), word_of, budget)
 
 
 register_enumerator(BoundedSpec, _enumerate_bounded)
 
 
-def _rational_rank(rows):
-    """Rank over Q by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
+def _row_reduce(m, ncols):
+    """Bring the Fraction matrix ``m`` (a list of rows) to reduced row
+    echelon form over its first ``ncols`` columns, in place, by exact
+    Gauss-Jordan elimination; returns the pivot columns."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col] / inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots
 
 
 def is_simple(ls):
     """True iff the periods are linearly independent over the rationals."""
     if not ls.periods:
         return True
-    return _rational_rank(ls.periods) == len(ls.periods)
+    m = [[Fraction(x) for x in p] for p in ls.periods]
+    return len(_row_reduce(m, ls.dim)) == len(ls.periods)
 
 
 @dataclass(frozen=True)

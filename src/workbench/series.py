@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .foundation import PreconditionError, enumerate_language, parikh, Alphabet
 from .matrix import szilard_dfa, theta
+from .semilinear import _row_reduce
 
 INFINITE = float("inf")
 
@@ -300,23 +301,9 @@ def _solve_exact(rows, rhs):
     """Particular rational solution of rows·c = rhs, free vars at 0."""
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][-1] != 0:
-            return None
+    pivots = _row_reduce(m, ncols)
+    if any(row[-1] != 0 for row in m[len(pivots):]):
+        return None
     sol = [Fraction(0)] * ncols
     for i, col in enumerate(pivots):
         sol[col] = m[i][-1]

@@ -29,7 +29,6 @@ from itertools import product
 from operator import add, sub
 
 from .foundation import PreconditionError
-from .semilinear import LinearSet, SemilinearSet
 
 
 def digit_tuples(tracks):

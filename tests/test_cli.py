@@ -1,8 +1,15 @@
-"""The command-line front end: exit codes of `convert` and `series`."""
+"""The command-line front end: exit codes of `convert`, `series` and
+`enumerate`, and the document round trip."""
+
+import json
+
+import pytest
 
 from workbench import cli
+from workbench import etol
 from workbench import matrix as mx
 from workbench.fixtures import copy_language_matrix
+from workbench.foundation import Alphabet, RegexLanguage
 
 
 def _write(tmp_path, name, obj):
@@ -50,3 +57,32 @@ def test_series_too_few_terms_is_precondition_error(tmp_path, capsys):
     assert rc == 2
     assert "need at least 16 terms" in out.err
     assert "no recurrence" not in out.out
+
+
+def test_regex_document_round_trip(tmp_path, capsys):
+    text = cli.dump_document(RegexLanguage("(ab)*", Alphabet("ab")))
+    assert cli.dump_document(cli.parse_document(text)) == text
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    assert cli.main(["enumerate", str(path), "--max-len", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["λ", "ab", "abab"]
+
+
+def test_regex_multi_character_symbol_is_precondition_error(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    doc = {"kind": "regex", "pattern": "a(bc)*", "alphabet": ["a", "bc"]}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["enumerate", str(path)]) == 2
+    assert "single-character" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("terminal", ["X@1a", "X@1"])
+@pytest.mark.parametrize("to", ["matrix", "edtol"])
+def test_convert_with_terminal_named_like_a_register(tmp_path, capsys, terminal, to):
+    g = etol.EtolSystem(("X",), (terminal,), "X",
+                        [{"X": [(terminal, "X"), ()]}, {"X": [(terminal, "X")]}],
+                        reduced=True)
+    path = _write(tmp_path, "x.json", g)
+    rc = cli.main(["convert", path, "--to", to, "--index", "1", "--check-len", "5"])
+    assert rc == 0
+    assert "oracle-equal <= 5: PASS" in capsys.readouterr().out

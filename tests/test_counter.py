@@ -5,7 +5,15 @@ from itertools import product
 
 import pytest
 
-from workbench.foundation import Alphabet, PreconditionError, enumerate_language, parikh, word
+from workbench.foundation import (
+    Alphabet,
+    Budget,
+    BudgetExhausted,
+    PreconditionError,
+    enumerate_language,
+    parikh,
+    word,
+)
 from workbench.semilinear import BoundedSpec, linear, member, phi, semilinear
 from workbench import counter as cm
 
@@ -262,3 +270,33 @@ def test_decide_bounded_randomized_against_oracle():
         dis = cm.decide_bounded(s1, s2, "disjoint").holds
         if dis:
             assert not (l1 & l2)
+
+
+def lambda_countdown_machine():
+    """One counter pumped up on λ-moves, then counted down along a
+    100-state λ-chain: L = {λ}, accepted only with the counter at 100."""
+    trans = {
+        ("up", None, (0,)): (("up", (1,)),),
+        ("up", None, (1,)): (("up", (1,)), ("d0", (0,))),
+        ("d100", cm.END, (0,)): (("acc", (0,)),),
+    }
+    for i in range(100):
+        trans[("d%d" % i, None, (1,))] = (("d%d" % (i + 1), (-1,)),)
+    states = ["up"] + ["d%d" % i for i in range(101)] + ["acc"]
+    return cm.CounterMachine(1, states, "up", {"acc"}, Alphabet("a"), trans)
+
+
+def test_counter_cap_prune_marks_enumeration_incomplete():
+    # at max_len 0 the counter cap is 64 < 100: the accepting run is cut
+    m = lambda_countdown_machine()
+    e = enumerate_language(m, 0)
+    assert not e.complete
+    assert cm.accepts(m, ())          # cap 128 at |w| <= 1
+
+
+def test_counter_cap_prune_is_not_a_rejection():
+    # with the cap at 32 * 2 = 64 the accepting run is cut: "not accepted"
+    # would be wrong, so the search reports that it ran out
+    m = lambda_countdown_machine()
+    with pytest.raises(BudgetExhausted):
+        cm.accepts(m, (), Budget(step_factor=32))

@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+from workbench import fixtures
+from workbench.commutative import RegularWitness
 from workbench.foundation import (
     Alphabet,
+    Budget,
     FiniteLanguage,
     PreconditionError,
+    RegexLanguage,
     comm_equivalent,
     decompositions,
     enumerate_language,
@@ -115,3 +119,50 @@ def test_enumerate_monotone_in_max_len():
 def test_sort_words_is_length_then_lex():
     ws = [word("ba"), word("ab"), word("b"), (), word("aa")]
     assert sort_words(ws) == [(), word("b"), word("aa"), word("ab"), word("ba")]
+
+
+def test_enumerate_regex():
+    e = enumerate_language(RegexLanguage("(ab)*", AB), 5)
+    assert e.complete
+    assert e.words == [(), word("ab"), word("abab")]
+    assert e.explored == 63      # every word of {a,b}^{<=5}
+
+
+def test_regex_rejects_multi_character_symbols():
+    with pytest.raises(PreconditionError):
+        RegexLanguage("a(bc)*", Alphabet(["a", "bc"]))
+
+
+# One fixture per budgeted enumerator, with the number of nodes its
+# frontier draws: sentential forms (ETOL, matrix), (state, word) pairs
+# (witness), Σ^{<=n} (regex), exponent tuples (bounded spec).
+FRONTIER_PINS = [
+    ("etol", fixtures.copy_language_reduced_etol, 7, 31, 15),
+    ("matrix", fixtures.copy_language_matrix, 7, 22, 14),
+    ("witness", lambda: RegularWitness(
+        states=(0, 1, 2), initial=0, accepting=frozenset([2]),
+        edges=((0, ("a",), 1), (1, ("b",), 1), (1, ("b", "a"), 2), (2, ("a",), 0)),
+    ), 7, 24, 6),
+    ("regex", lambda: RegexLanguage("(ab)*", AB), 4, 31, 3),
+    ("bounded", lambda: fixtures.L3_SPEC, 16, 17, 2),
+]
+
+
+@pytest.mark.parametrize("name, make, n, explored, count", FRONTIER_PINS,
+                         ids=[p[0] for p in FRONTIER_PINS])
+def test_frontier_explored_count(name, make, n, explored, count):
+    e = enumerate_language(make(), n)
+    assert e.complete
+    assert e.explored == explored
+    assert len(e.words) == count
+
+
+@pytest.mark.parametrize("name, make, n, explored, count", FRONTIER_PINS,
+                         ids=[p[0] for p in FRONTIER_PINS])
+def test_frontier_budget_cut_is_incomplete(name, make, n, explored, count):
+    spec = make()
+    full = enumerate_language(spec, n)
+    cut = enumerate_language(spec, n, Budget(max_steps=explored - 1))
+    assert not cut.complete
+    assert cut.explored == explored
+    assert set(cut.words) <= set(full.words)

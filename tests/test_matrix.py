@@ -323,6 +323,29 @@ def test_conversion_chain_preserves_counts_on_ambiguous_fixture():
     assert dc.exact and dc.value == 2
 
 
+@pytest.mark.parametrize("terminal", ["X@1a", "X@1"])
+def test_conversions_avoid_terminals_named_like_registers(terminal):
+    # X's generated names are X@1a/X@1b (to matrix) and X@1 (to EDTOL);
+    # a terminal spelled the same way must not be taken for one of them
+    g = etol.EtolSystem(
+        v=("X",),
+        sigma=(terminal,),
+        axiom="X",
+        tables=[{"X": [(terminal, "X"), ()]}, {"X": [(terminal, "X")]}],
+        reduced=True,
+    )
+    want = enumerate_language(g, 4).require_complete().words
+    for out, count in (
+        (mx.reduced_etol_to_matrix(g, 1), mx.count_derivations),
+        (mx.reduced_etol_to_edtol(g, 1), etol.count_trees),
+    ):
+        assert enumerate_language(out, 4).require_complete().words == want
+        for w in want:
+            a, b = etol.count_trees(g, w), count(out, w)
+            assert a.exact and b.exact
+            assert a.value == b.value == 2 ** len(w)
+
+
 # Small random systems for the conversion round trips: nonterminals S, A,
 # B with S the start, at most 3 rules.  S never reappears and only S
 # branches into two nonterminals, so every profile has length <= 2 (the
