@@ -18,7 +18,7 @@ produces the canonical byte form (sorted keys, two-space indent), so
 parse-then-serialize is the identity on canonical files.
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 precondition
-error, 3 budget exhausted.
+error (a malformed or unreadable document included), 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .foundation import (
     Alphabet,
@@ -51,13 +52,8 @@ from . import commutative, counter, etol, matrix as mx, series, vecautomata
 
 # ---------------------------------------------------------------- formats
 
-def _word_out(w):
-    return list(w)
-
-
-def semilinear_to_doc(q):
+def _semilinear_to_doc(q):
     return {
-        "kind": "semilinear",
         "components": [
             {"constant": list(c.constant), "periods": [list(p) for p in c.periods]}
             for c in q.components
@@ -65,34 +61,33 @@ def semilinear_to_doc(q):
     }
 
 
-def semilinear_from_doc(doc):
+def _semilinear_from_doc(doc):
     return SemilinearSet(
         [LinearSet(c["constant"], c.get("periods", ())) for c in doc["components"]]
     )
 
 
-def bounded_spec_to_doc(s):
+def _bounded_spec_to_doc(s):
     return {
-        "kind": "bounded_spec",
-        "words": [_word_out(w) for w in s.words],
+        "words": [list(w) for w in s.words],
         "bound_kind": s.kind,
-        "q1": semilinear_to_doc(s.q1) if s.q1 else None,
-        "q2": semilinear_to_doc(s.q2) if s.q2 else None,
+        "q1": object_to_doc(s.q1) if s.q1 else None,
+        "q2": object_to_doc(s.q2) if s.q2 else None,
         "alphabet": list(s.alphabet.symbols),
     }
 
 
-def bounded_spec_from_doc(doc):
+def _bounded_spec_from_doc(doc):
     return BoundedSpec(
         [tuple(w) for w in doc["words"]],
         doc["bound_kind"],
-        q1=semilinear_from_doc(doc["q1"]) if doc.get("q1") else None,
-        q2=semilinear_from_doc(doc["q2"]) if doc.get("q2") else None,
+        q1=_semilinear_from_doc(doc["q1"]) if doc.get("q1") else None,
+        q2=_semilinear_from_doc(doc["q2"]) if doc.get("q2") else None,
         alphabet=Alphabet(doc["alphabet"]) if doc.get("alphabet") else None,
     )
 
 
-def machine_to_doc(m):
+def _machine_to_doc(m):
     records = []
     names = {q: str(q) for q in m.states}
     for (q, sym, pat), targets in sorted(m.transitions.items(), key=repr):
@@ -107,7 +102,6 @@ def machine_to_doc(m):
                 ]
             )
     return {
-        "kind": "counter_machine",
         "counters": m.k,
         "states": sorted(names.values()),
         "initial": names[m.initial],
@@ -118,7 +112,7 @@ def machine_to_doc(m):
     }
 
 
-def machine_from_doc(doc):
+def _machine_from_doc(doc):
     trans = {}
     for q, sym, pat, p, moves in doc["transitions"]:
         key = (
@@ -139,21 +133,20 @@ def machine_from_doc(doc):
     )
 
 
-def etol_to_doc(g):
+def _etol_to_doc(g):
     return {
-        "kind": "etol",
         "v": list(g.v),
         "sigma": list(g.sigma),
         "axiom": g.axiom,
         "reduced": g.reduced,
         "tables": [
-            {x: [_word_out(r) for r in rhss] for x, rhss in sorted(t.items())}
+            {x: [list(r) for r in rhss] for x, rhss in sorted(t.items())}
             for t in g.tables
         ],
     }
 
 
-def etol_from_doc(doc):
+def _etol_from_doc(doc):
     tables = [
         {x: [tuple(r) for r in rhss] for x, rhss in t.items()}
         for t in doc["tables"]
@@ -163,19 +156,18 @@ def etol_from_doc(doc):
     )
 
 
-def matrix_to_doc(g):
+def _matrix_to_doc(g):
     return {
-        "kind": "matrix_grammar",
         "nonterminals": list(g.nonterminals),
         "terminals": list(g.terminals),
         "start": g.start,
         "matrices": [
-            [{"lhs": lhs, "rhs": _word_out(rhs)} for lhs, rhs in m] for m in g.matrices
+            [{"lhs": lhs, "rhs": list(rhs)} for lhs, rhs in m] for m in g.matrices
         ],
     }
 
 
-def matrix_from_doc(doc):
+def _matrix_from_doc(doc):
     return mx.MatrixGrammar(
         doc["nonterminals"],
         doc["terminals"],
@@ -184,57 +176,49 @@ def matrix_from_doc(doc):
     )
 
 
-def word_list_from_doc(doc):
-    return FiniteLanguage([tuple(w) for w in doc["words"]])
+class _Codec(NamedTuple):
+    cls: type
+    to_doc: Callable      # object -> its fields, without "kind"
+    from_doc: Callable    # the whole document -> object
 
 
-def word_list_to_doc(lang):
-    return {"kind": "word_list", "words": [_word_out(w) for w in lang.words]}
-
-
-def regex_from_doc(doc):
-    return RegexLanguage(doc["pattern"], Alphabet(doc["alphabet"]))
-
-
-def regex_to_doc(r):
-    return {"kind": "regex", "pattern": r.pattern, "alphabet": list(r.alphabet.symbols)}
-
-
-_FROM_DOC = {
-    "semilinear": semilinear_from_doc,
-    "bounded_spec": bounded_spec_from_doc,
-    "counter_machine": machine_from_doc,
-    "etol": etol_from_doc,
-    "matrix_grammar": matrix_from_doc,
-    "word_list": word_list_from_doc,
-    "regex": regex_from_doc,
+_CODECS = {
+    "semilinear": _Codec(SemilinearSet, _semilinear_to_doc, _semilinear_from_doc),
+    "bounded_spec": _Codec(BoundedSpec, _bounded_spec_to_doc, _bounded_spec_from_doc),
+    "counter_machine": _Codec(counter.CounterMachine, _machine_to_doc, _machine_from_doc),
+    "etol": _Codec(etol.EtolSystem, _etol_to_doc, _etol_from_doc),
+    "matrix_grammar": _Codec(mx.MatrixGrammar, _matrix_to_doc, _matrix_from_doc),
+    "word_list": _Codec(FiniteLanguage, lambda lang: {"words": [list(w) for w in lang.words]},
+                        lambda doc: FiniteLanguage([tuple(w) for w in doc["words"]])),
+    "regex": _Codec(RegexLanguage,
+                    lambda r: {"pattern": r.pattern, "alphabet": list(r.alphabet.symbols)},
+                    lambda doc: RegexLanguage(doc["pattern"], Alphabet(doc["alphabet"]))),
 }
+_KIND_OF = {c.cls: kind for kind, c in _CODECS.items()}
 
 
 def parse_document(text):
-    doc = json.loads(text)
-    kind = doc.get("kind")
-    if kind not in _FROM_DOC:
-        raise PreconditionError("unknown object kind %r" % (kind,))
-    return _FROM_DOC[kind](doc)
+    """The object a document describes.  PreconditionError if the text is
+    not a JSON object, names no known kind or does not fit its kind."""
+    what = "document"
+    try:
+        doc = json.loads(text)
+        kind = doc.get("kind")
+        if kind not in _CODECS:
+            raise PreconditionError("unknown object kind %r" % (kind,))
+        what = "%s document" % kind
+        return _CODECS[kind].from_doc(doc)
+    except PreconditionError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise PreconditionError("malformed %s: %s: %s" % (what, type(e).__name__, e)) from None
 
 
 def object_to_doc(obj):
-    if isinstance(obj, SemilinearSet):
-        return semilinear_to_doc(obj)
-    if isinstance(obj, BoundedSpec):
-        return bounded_spec_to_doc(obj)
-    if isinstance(obj, counter.CounterMachine):
-        return machine_to_doc(obj)
-    if isinstance(obj, etol.EtolSystem):
-        return etol_to_doc(obj)
-    if isinstance(obj, mx.MatrixGrammar):
-        return matrix_to_doc(obj)
-    if isinstance(obj, FiniteLanguage):
-        return word_list_to_doc(obj)
-    if isinstance(obj, RegexLanguage):
-        return regex_to_doc(obj)
-    raise PreconditionError("cannot serialize %r" % (type(obj).__name__,))
+    kind = _KIND_OF.get(type(obj))
+    if kind is None:
+        raise PreconditionError("cannot serialize %r" % (type(obj).__name__,))
+    return {"kind": kind, **_CODECS[kind].to_doc(obj)}
 
 
 def dump_document(obj):
@@ -242,8 +226,12 @@ def dump_document(obj):
 
 
 def load_object(path):
-    with open(path) as f:
-        return parse_document(f.read())
+    try:
+        with open(path) as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise PreconditionError("cannot read document: %s" % e) from None
+    return parse_document(text)
 
 
 # ---------------------------------------------------------------- commands
@@ -258,6 +246,10 @@ def _config_line(args, extra=()):
     return "config: " + " ".join(fields)
 
 
+def _verdict(ok):
+    return "PASS" if ok else "FAIL"
+
+
 def cmd_enumerate(args):
     spec = load_object(args.object)
     enum = enumerate_language(spec, args.max_len, _budget(args))
@@ -270,109 +262,114 @@ def cmd_enumerate(args):
     return 0
 
 
-def _write_artifact(obj, path):
-    with open(path, "w") as f:
-        f.write(dump_document(obj))
-    print("wrote %s" % path)
+# The derivation counter of each grammar type, and the noun its counts
+# go by.  Every table here reaches the library through module attributes
+# at call time, so a wrapper installed on a module name sees each call.
+_COUNTS = {
+    mx.MatrixGrammar: ("derivation", lambda g, w: mx.count_derivations(g, w)),
+    etol.EtolSystem: ("tree", lambda g, w: etol.count_trees(g, w)),
+}
 
 
-def _oracle_equal(a, b, max_len, budget):
-    ea = enumerate_language(a, max_len, budget).require_complete()
-    eb = enumerate_language(b, max_len, budget).require_complete()
-    return ea.words == eb.words
+def _count(g, w):
+    return _COUNTS[type(g)][1](g, w)
+
+
+def _letters(args):
+    if not args.letters:
+        raise PreconditionError("--letters required for semilinear conversions")
+    return args.letters
+
+
+def _parikh_words(q, args):
+    """The words over --letters up to --check-len whose Parikh vector is in q."""
+    alph = Alphabet(args.letters)
+    words = _words_up_to(alph, args.check_len)
+    return FiniteLanguage([w for w in words if member(q, parikh(w, alph))])
+
+
+def _dcm(s, args):
+    m = counter.dcm_for_bounded(s)
+    return m, ["deterministic: %s" % counter.is_deterministic(m)]
+
+
+def _normal_form(g, args):
+    out, cert = mx.normal_form(g, args.index)
+    return out, ["already normal: %s" % cert.already_normal]
+
+
+def _index_audit(q, g, args, budget):
+    audit = etol.index_audit(g, args.check_len, budget)
+    return ["index audit: <= %s over explored region" % audit.grammar_index], True
+
+
+def _one_tree_per_word(s, g, args, budget):
+    counts = [_count(g, w) for w in enumerate_language(g, args.check_len, budget).words]
+    ok = all(c.exact and c.value == 1 for c in counts)
+    return ["tree count 1 on %d words: %s" % (len(counts), _verdict(ok))], ok
+
+
+def _counts_preserved(g, out, args, budget):
+    ok = True
+    for w in enumerate_language(g, args.check_len, budget).words:
+        a, b = _count(g, w), _count(out, w)
+        if not (a.exact and b.exact):
+            raise BudgetExhausted("derivation count of %s hit its cap" % show_word(w))
+        ok = ok and a.value == b.value
+    return ["derivation counts preserved: %s" % _verdict(ok)], ok
+
+
+class _Conversion(NamedTuple):
+    source: type          # the one object type the target reads
+    build: Callable       # (obj, args) -> (result, lines printed before the oracle line)
+    reference: Callable = lambda obj, args: obj     # what the result must equal
+    check: Callable = lambda obj, out, args, budget: ([], True)   # -> (lines, ok)
+
+
+_CONVERSIONS = {
+    "ncm": _Conversion(
+        SemilinearSet, lambda q, a: (counter.from_semilinear(q, Alphabet(_letters(a))), []),
+        _parikh_words),
+    "etol": _Conversion(
+        SemilinearSet, lambda q, a: (etol.semilinear_to_etol(q, tuple(_letters(a))), []),
+        lambda q, a: BoundedSpec([(l,) for l in a.letters], "ginsburg", q1=q), _index_audit),
+    "dcm": _Conversion(BoundedSpec, _dcm),
+    "unambiguous-etol": _Conversion(
+        BoundedSpec, lambda s, a: (etol.unambiguous_bounded_etol(s.words, s.q1), []),
+        check=_one_tree_per_word),
+    "reduced-etol": _Conversion(
+        mx.MatrixGrammar, lambda g, a: (mx.matrix_to_reduced_etol(g, a.index), []),
+        check=_counts_preserved),
+    "normal-form": _Conversion(mx.MatrixGrammar, _normal_form),
+    "edtol": _Conversion(
+        etol.EtolSystem, lambda g, a: (mx.reduced_etol_to_edtol(g, a.index), [])),
+    "matrix": _Conversion(
+        etol.EtolSystem, lambda g, a: (mx.reduced_etol_to_matrix(g, a.index), [])),
+    "reduced": _Conversion(etol.EtolSystem, lambda g, a: (etol.to_reduced(g), [])),
+    "plain": _Conversion(etol.EtolSystem, lambda g, a: (etol.from_reduced(g), [])),
+    "active-normal-form": _Conversion(
+        etol.EtolSystem, lambda g, a: (etol.active_normal_form(g), [])),
+}
 
 
 def cmd_convert(args):
     obj = load_object(args.object)
-    budget = _budget(args)
-    check = args.check_len
-    report = []
-
-    if isinstance(obj, SemilinearSet) and args.to == "ncm":
-        if not args.letters:
-            raise PreconditionError("--letters required for semilinear conversions")
-        alph = Alphabet(args.letters)
-        out = counter.from_semilinear(obj, alph)
-        got = enumerate_language(out, check, budget).require_complete().as_set()
-        expect = {w for w in _words_up_to(alph, check) if member(obj, parikh(w, alph))}
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if got == expect else "FAIL"))
-        ok = got == expect
-    elif isinstance(obj, SemilinearSet) and args.to == "etol":
-        if not args.letters:
-            raise PreconditionError("--letters required for semilinear conversions")
-        out = etol.semilinear_to_etol(obj, tuple(args.letters))
-        spec = BoundedSpec(
-            tuple((l,) for l in args.letters), "ginsburg", q1=obj
-        )
-        ok = _oracle_equal(out, spec, check, budget)
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if ok else "FAIL"))
-        audit = etol.index_audit(out, check, budget)
-        report.append("index audit: <= %s over explored region" % audit.grammar_index)
-    elif isinstance(obj, BoundedSpec) and args.to == "dcm":
-        out = counter.dcm_for_bounded(obj)
-        ok = _oracle_equal(out, obj, check, budget)
-        report.append("deterministic: %s" % counter.is_deterministic(out))
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if ok else "FAIL"))
-    elif isinstance(obj, BoundedSpec) and args.to == "unambiguous-etol":
-        out = etol.unambiguous_bounded_etol(obj.words, obj.q1)
-        ok = _oracle_equal(out, obj, check, budget)
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if ok else "FAIL"))
-        counts = [
-            etol.count_trees(out, w)
-            for w in enumerate_language(out, check, budget).words
-        ]
-        all_one = all(c.exact and c.value == 1 for c in counts)
-        report.append("tree count 1 on %d words: %s" % (len(counts), "PASS" if all_one else "FAIL"))
-        ok = ok and all_one
-    elif isinstance(obj, mx.MatrixGrammar) and args.to == "reduced-etol":
-        out = mx.matrix_to_reduced_etol(obj, args.index)
-        ok = _oracle_equal(out, obj, check, budget)
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if ok else "FAIL"))
-        same = True
-        for w in enumerate_language(obj, check, budget).words:
-            a = mx.count_derivations(obj, w)
-            b = etol.count_trees(out, w)
-            if not (a.exact and b.exact):
-                raise BudgetExhausted("derivation count of %s hit its cap" % show_word(w))
-            same = same and a.value == b.value
-        report.append("derivation counts preserved: %s" % ("PASS" if same else "FAIL"))
-        ok = ok and same
-    elif isinstance(obj, mx.MatrixGrammar) and args.to == "normal-form":
-        out, cert = mx.normal_form(obj, args.index)
-        ok = _oracle_equal(out, obj, check, budget)
-        report.append("already normal: %s" % cert.already_normal)
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if ok else "FAIL"))
-    elif isinstance(obj, etol.EtolSystem) and args.to == "edtol":
-        out = mx.reduced_etol_to_edtol(obj, args.index)
-        ok = _oracle_equal(out, obj, check, budget)
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if ok else "FAIL"))
-    elif isinstance(obj, etol.EtolSystem) and args.to == "matrix":
-        out = mx.reduced_etol_to_matrix(obj, args.index)
-        ok = _oracle_equal(out, obj, check, budget)
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if ok else "FAIL"))
-    elif isinstance(obj, etol.EtolSystem) and args.to == "reduced":
-        out = etol.to_reduced(obj)
-        ok = _oracle_equal(out, obj, check, budget)
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if ok else "FAIL"))
-    elif isinstance(obj, etol.EtolSystem) and args.to == "plain":
-        out = etol.from_reduced(obj)
-        ok = _oracle_equal(out, obj, check, budget)
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if ok else "FAIL"))
-    elif isinstance(obj, etol.EtolSystem) and args.to == "active-normal-form":
-        out = etol.active_normal_form(obj)
-        ok = _oracle_equal(out, obj, check, budget)
-        report.append("oracle-equal <= %d: %s" % (check, "PASS" if ok else "FAIL"))
-    else:
-        raise PreconditionError(
-            "unsupported conversion: %s -> %s" % (type(obj).__name__, args.to)
-        )
-
+    row = _CONVERSIONS[args.to]
+    if not isinstance(obj, row.source):
+        raise PreconditionError("unsupported conversion: %s -> %s" % (type(obj).__name__, args.to))
+    budget, check = _budget(args), args.check_len
+    out, report = row.build(obj, args)
+    same = (enumerate_language(out, check, budget).require_complete().words
+            == enumerate_language(row.reference(obj, args), check, budget).require_complete().words)
+    lines, passed = row.check(obj, out, args, budget)
+    report += ["oracle-equal <= %d: %s" % (check, _verdict(same))] + lines
     print(_config_line(args, ["check-len=%d" % check, "to=%s" % args.to]))
-    for line in report:
-        print(line)
+    print("\n".join(report))
     if args.out:
-        _write_artifact(out, args.out)
-    return 0 if ok else 1
+        with open(args.out, "w") as f:
+            f.write(dump_document(out))
+        print("wrote %s" % args.out)
+    return 0 if same and passed else 1
 
 
 def cmd_decide(args):
@@ -452,20 +449,14 @@ def cmd_audit(args):
         )
         return 0
     if args.kind == "ambiguity":
+        if type(obj) not in _COUNTS:
+            raise PreconditionError("ambiguity audit expects a matrix_grammar or etol object")
         enum = enumerate_language(obj, args.max_len, _budget(args)).require_complete()
-        worst = 0
-        exact = True
-        for w in enum.words:
-            if isinstance(obj, mx.MatrixGrammar):
-                c = mx.count_derivations(obj, w)
-            else:
-                c = etol.count_trees(obj, w)
-            worst = max(worst, c.value)
-            exact = exact and c.exact
+        counts = [_count(obj, w) for w in enum.words]
         print(
             "max %s count %d over %d words (exact=%s)"
-            % ("derivation" if isinstance(obj, mx.MatrixGrammar) else "tree",
-               worst, len(enum.words), exact)
+            % (_COUNTS[type(obj)][0], max((c.value for c in counts), default=0),
+               len(counts), all(c.exact for c in counts))
         )
         return 0
     if args.kind == "normal-form":
@@ -534,11 +525,9 @@ def build_parser():
     sp.add_argument(
         "--to",
         required=True,
-        choices=[
-            "ncm", "etol", "dcm", "unambiguous-etol", "reduced-etol",
-            "normal-form", "edtol", "matrix", "reduced", "plain",
-            "active-normal-form",
-        ],
+        choices=list(_CONVERSIONS),
+        help="the construction; each reads one document kind: "
+        + ", ".join("%s (%s)" % (to, _KIND_OF[row.source]) for to, row in _CONVERSIONS.items()),
     )
     sp.add_argument("--out")
     sp.add_argument("--check-len", type=int, default=10)

@@ -25,6 +25,7 @@ which word a node yields.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import product
@@ -237,7 +238,7 @@ def enumerate_language(spec, max_len, budget=None):
         fn = _ENUMERATORS.get(cls)
         if fn is not None:
             return fn(spec, max_len, budget)
-    raise TypeError("no enumerator registered for %r" % (type(spec).__name__,))
+    raise PreconditionError("no enumerator registered for %r" % (type(spec).__name__,))
 
 
 @dataclass(frozen=True)
@@ -274,11 +275,13 @@ class RegexLanguage:
             raise PreconditionError(
                 "regex alphabet needs single-character symbols, got %r" % (multi,)
             )
+        try:
+            re.compile(self.pattern)
+        except re.error as e:
+            raise PreconditionError("invalid regex %r: %s" % (self.pattern, e)) from None
 
 
 def _enumerate_regex(spec, max_len, budget):
-    import re
-
     rx = re.compile(spec.pattern)
     return _budgeted(
         _words_up_to(spec.alphabet, max_len),

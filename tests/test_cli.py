@@ -1,15 +1,18 @@
-"""The command-line front end: exit codes of `convert`, `series` and
-`enumerate`, and the document round trip."""
+"""The command-line front end as a public surface: exit codes of every
+command, the pinned output of every `convert` target, bad documents,
+and the document round trip for every kind."""
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from workbench import cli
-from workbench import etol
+from workbench import counter, etol, fixtures
 from workbench import matrix as mx
 from workbench.fixtures import copy_language_matrix
-from workbench.foundation import Alphabet, RegexLanguage
+from workbench.foundation import Alphabet, FiniteLanguage, RegexLanguage, word
+from workbench.semilinear import KINDS, BoundedSpec, LinearSet, SemilinearSet, linear, semilinear
 
 
 def _write(tmp_path, name, obj):
@@ -86,3 +89,273 @@ def test_convert_with_terminal_named_like_a_register(tmp_path, capsys, terminal,
     rc = cli.main(["convert", path, "--to", to, "--index", "1", "--check-len", "5"])
     assert rc == 0
     assert "oracle-equal <= 5: PASS" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ the public surface
+
+@pytest.fixture
+def docs(tmp_path):
+    """Fixture documents by name, written to files."""
+    objs = {
+        "semi": semilinear(linear((1, 1), (1, 1)), linear((0, 2), (2, 0))),
+        "anbn": BoundedSpec((word("a"), word("b")), "ginsburg",
+                            q1=semilinear(linear((0, 0), (1, 1)))),
+        "aba": fixtures.ABA_GINSBURG,
+        "l3": fixtures.L3_SPEC,
+        "copy": fixtures.copy_language_matrix(),
+        "copy-etol": fixtures.copy_language_reduced_etol(),
+        "abn": fixtures.abn_edol(),
+    }
+    return {name: _write(tmp_path, name + ".json", obj) for name, obj in objs.items()}
+
+
+def _run(docs, argv, capsys):
+    rc = cli.main([docs.get(a, a) for a in argv])
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+CONFIG = "config: max-len=10 steps=100000 check-len=%d to=%s"
+
+# one fixture per --to target, with its full output: for most targets
+# this is the only end-to-end test
+CONVERT_PINS = [
+    ("semi", "ncm", ["--letters", "a", "b", "--check-len", "6"],
+     ["oracle-equal <= 6: PASS"]),
+    ("semi", "etol", ["--letters", "a", "b", "--check-len", "6"],
+     ["oracle-equal <= 6: PASS", "index audit: <= 2 over explored region"]),
+    ("anbn", "dcm", ["--check-len", "8"],
+     ["deterministic: True", "oracle-equal <= 8: PASS"]),
+    ("aba", "unambiguous-etol", ["--check-len", "6"],
+     ["oracle-equal <= 6: PASS", "tree count 1 on 2 words: PASS"]),
+    ("copy", "reduced-etol", ["--index", "2", "--check-len", "7"],
+     ["oracle-equal <= 7: PASS", "derivation counts preserved: PASS"]),
+    ("copy", "normal-form", ["--index", "2", "--check-len", "7"],
+     ["already normal: True", "oracle-equal <= 7: PASS"]),
+    ("copy-etol", "edtol", ["--index", "2", "--check-len", "7"], ["oracle-equal <= 7: PASS"]),
+    ("copy-etol", "matrix", ["--index", "2", "--check-len", "7"], ["oracle-equal <= 7: PASS"]),
+    ("abn", "reduced", ["--check-len", "6"], ["oracle-equal <= 6: PASS"]),
+    ("copy-etol", "plain", ["--check-len", "7"], ["oracle-equal <= 7: PASS"]),
+    ("abn", "active-normal-form", ["--check-len", "6"], ["oracle-equal <= 6: PASS"]),
+]
+
+
+def test_convert_pins_cover_every_target():
+    assert [to for _, to, _, _ in CONVERT_PINS] == list(cli._CONVERSIONS)
+
+
+@pytest.mark.parametrize("name,to,extra,lines", CONVERT_PINS,
+                         ids=[to for _, to, _, _ in CONVERT_PINS])
+def test_convert_output_is_pinned(docs, capsys, name, to, extra, lines):
+    check = int(extra[extra.index("--check-len") + 1])
+    rc, out, err = _run(docs, ["convert", name, "--to", to] + extra, capsys)
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [CONFIG % (check, to)] + lines
+
+
+def test_convert_out_writes_the_result_document(docs, capsys, tmp_path):
+    path = str(tmp_path / "out.json")
+    rc, out, _ = _run(docs, ["convert", "abn", "--to", "reduced", "--check-len", "6",
+                             "--out", path], capsys)
+    assert rc == 0
+    assert out.splitlines()[-1] == "wrote %s" % path
+    result = cli.load_object(path)
+    assert isinstance(result, etol.EtolSystem) and result.reduced
+    assert cli.dump_document(result) == (tmp_path / "out.json").read_text()
+
+
+def test_convert_rows_call_the_library_at_call_time(docs, capsys, monkeypatch):
+    # a wrong construction must read as a failed check (exit 1); patching
+    # the module attribute reaches the conversion table, as a tracer's does
+    monkeypatch.setattr(etol, "to_reduced", lambda g: fixtures.copy_language_reduced_etol())
+    rc, out, _ = _run(docs, ["convert", "abn", "--to", "reduced", "--check-len", "6"], capsys)
+    assert rc == 1
+    assert out.splitlines()[-1] == "oracle-equal <= 6: FAIL"
+
+
+def test_construction_value_error_is_not_a_malformed_document(docs, monkeypatch):
+    def broken(g):
+        raise ValueError("bug inside a construction")
+    monkeypatch.setattr(etol, "to_reduced", broken)
+    with pytest.raises(ValueError, match="bug inside a construction"):
+        cli.main(["convert", docs["abn"], "--to", "reduced"])
+
+
+def test_convert_help_names_each_target_source_kind(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["convert", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for to, kind in [("ncm", "semilinear"), ("dcm", "bounded_spec"),
+                     ("reduced-etol", "matrix_grammar"), ("active-normal-form", "etol")]:
+        assert "%s (%s)" % (to, kind) in text
+
+
+EXIT_CODES = [
+    # enumerate
+    (["enumerate", "copy", "--max-len", "5"], 0),
+    (["--steps", "5", "enumerate", "copy", "--max-len", "9"], 3),
+    # convert (exit 0 and 1: the pins and the call-time test above)
+    (["convert", "copy", "--to", "ncm"], 2),
+    (["convert", "semi", "--to", "ncm"], 2),
+    (["convert", "aba", "--to", "dcm"], 2),
+    (["--steps", "5", "convert", "copy", "--to", "normal-form", "--index", "2",
+      "--check-len", "9"], 3),
+    # decide
+    (["decide", "anbn", "anbn", "--relation", "subset"], 0),
+    (["decide", "anbn", "anbn", "--relation", "disjoint"], 1),
+    (["decide", "anbn", "copy", "--relation", "equal"], 2),
+    (["decide", "anbn", "aba", "--relation", "equal"], 2),
+    # series
+    (["series", "copy", "--count", "40"], 0),
+    (["series", "copy", "--count", "40", "--max-order", "0"], 1),
+    (["series", "semi"], 2),
+    # audit
+    (["audit", "copy-etol", "--kind", "index"], 0),
+    (["audit", "copy", "--kind", "ambiguity", "--max-len", "7"], 0),
+    (["audit", "copy", "--kind", "normal-form"], 0),
+    (["audit", "semi", "--kind", "semi-simple"], 1),
+    (["audit", "copy", "--kind", "index"], 2),
+    (["audit", "copy", "--kind", "semi-simple"], 2),
+    (["--steps", "5", "audit", "copy", "--kind", "ambiguity", "--max-len", "9"], 3),
+    # regularize
+    (["regularize", "abn", "--index", "1"], 0),
+    (["regularize", "copy"], 2),
+    (["regularize", "semi"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", EXIT_CODES, ids=[" ".join(a) for a, _ in EXIT_CODES])
+def test_exit_code(docs, capsys, argv, code):
+    rc, _, err = _run(docs, argv, capsys)
+    assert rc == code
+    if code == 2:
+        assert err.startswith("error: ")
+    elif code == 3:
+        assert "budget exhausted" in err
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("not json", "malformed document"),
+    ("[1, 2]", "malformed document"),
+    ('{"kind": "word_list"}', "malformed word_list document"),
+    ('{"kind": "etol", "v": ["S"], "sigma": ["a"], "axiom": "X", "tables": []}',
+     "malformed etol document"),
+    ('{"kind": "regex", "pattern": "(ab", "alphabet": ["a", "b"]}', "invalid regex"),
+    ('{"kind": "grammar"}', "unknown object kind"),
+])
+def test_bad_document_is_precondition_error(tmp_path, capsys, text, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["enumerate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+
+
+def test_missing_document_is_precondition_error(tmp_path, capsys):
+    assert cli.main(["enumerate", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read document")
+
+
+@pytest.mark.parametrize("name", ["aba", "l3"])
+def test_ambiguity_audit_rejects_bounded_specs(docs, capsys, name):
+    # ABA_GINSBURG crashed in the tree counter; L3_SPEC, with no word of
+    # length <= 6, reported "max tree count 0" as if it were a grammar
+    rc, out, err = _run(docs, ["audit", name, "--kind", "ambiguity", "--max-len", "6"], capsys)
+    assert rc == 2
+    assert "tree count" not in out
+    assert err.startswith("error: ambiguity audit expects")
+
+
+def test_enumerate_without_enumerator_is_precondition_error(docs, capsys):
+    rc, _, err = _run(docs, ["enumerate", "semi"], capsys)
+    assert rc == 2
+    assert "no enumerator registered for 'SemilinearSet'" in err
+
+
+# ------------------------------------------------------------ round trip
+
+LETTERS = "abc"
+_words = st.lists(st.sampled_from(LETTERS), max_size=4).map(tuple)
+_nonempty_words = st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3).map(tuple)
+
+
+def _semilinear_sets(dim):
+    vec = st.lists(st.integers(0, 5), min_size=dim, max_size=dim)
+    lin = st.builds(LinearSet, vec, st.lists(vec.filter(any), max_size=3))
+    return st.lists(lin, min_size=1, max_size=3).map(SemilinearSet)
+
+
+@st.composite
+def _bounded_specs(draw):
+    words = draw(st.lists(_nonempty_words, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(KINDS))
+    symbols = sorted({s for w in words for s in w} | draw(st.sets(st.sampled_from(LETTERS))))
+    q1 = draw(_semilinear_sets(len(words))) if kind != "parikh" else None
+    q2 = draw(_semilinear_sets(len(symbols))) if kind != "ginsburg" else None
+    return BoundedSpec(words, kind, q1=q1, q2=q2, alphabet=Alphabet(symbols))
+
+
+@st.composite
+def _counter_machines(draw):
+    k = draw(st.integers(1, 2))
+    states = ["q%d" % i for i in range(draw(st.integers(1, 3)))]
+    state = st.sampled_from(states)
+    transitions = {}
+    for _ in range(draw(st.integers(0, 5))):
+        pat = tuple(draw(st.integers(0, 1)) for _ in range(k))
+        key = (draw(state), draw(st.sampled_from([None, "a", "b", counter.END])), pat)
+        moves = tuple(draw(st.integers(-z, 1)) for z in pat)
+        transitions.setdefault(key, []).append((draw(state), moves))
+    return counter.CounterMachine(k, states, draw(state), draw(st.sets(state)),
+                                  Alphabet("ab"), transitions, draw(st.integers(0, 3)))
+
+
+@st.composite
+def _etol_systems(draw):
+    reduced = draw(st.booleans())
+    sigma = ["a", "b"]
+    v = ["S", "X"] if reduced else ["S", "X", "a", "b"]
+    rhs = st.lists(st.sampled_from(sorted(set(v + sigma))), max_size=3)
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(st.sets(st.sampled_from(v))) if reduced else v
+        tables.append({x: draw(st.lists(rhs, min_size=1, max_size=2)) for x in lhs})
+    return etol.EtolSystem(v, sigma, "S", tables, reduced=reduced)
+
+
+@st.composite
+def _matrix_grammars(draw):
+    n, t = ["S", "A", "B"], ["a", "b"]
+    prod = st.tuples(st.sampled_from(n), st.lists(st.sampled_from(n + t), max_size=3))
+    mats = draw(st.lists(st.lists(prod, min_size=1, max_size=2), min_size=1, max_size=4))
+    return mx.MatrixGrammar(n, t, "S", mats)
+
+
+_patterns = st.recursive(
+    st.sampled_from(LETTERS),
+    lambda r: st.one_of(
+        st.tuples(r, r).map("".join),
+        st.tuples(r, r).map("(%s|%s)".__mod__),
+        r.map("(%s)*".__mod__),
+    ),
+    max_leaves=6,
+)
+
+DOCUMENTS = {
+    "semilinear": st.integers(1, 3).flatmap(_semilinear_sets),
+    "bounded_spec": _bounded_specs(),
+    "counter_machine": _counter_machines(),
+    "etol": _etol_systems(),
+    "matrix_grammar": _matrix_grammars(),
+    "word_list": st.lists(_words, max_size=5).map(FiniteLanguage),
+    "regex": st.builds(RegexLanguage, _patterns, st.just(Alphabet(LETTERS))),
+}
+
+
+@pytest.mark.parametrize("kind", list(DOCUMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_document_round_trip(kind, data):
+    text = cli.dump_document(data.draw(DOCUMENTS[kind]))
+    assert json.loads(text)["kind"] == kind
+    assert cli.dump_document(cli.parse_document(text)) == text
