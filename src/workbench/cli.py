@@ -293,6 +293,14 @@ def _dcm(s, args):
     return m, ["deterministic: %s" % counter.is_deterministic(m)]
 
 
+def _unambiguous_etol(s, args):
+    # the construction reads only the words and Q1: a parikh spec has no
+    # Q1, and the Q2 of a ginsburg-parikh spec would be dropped
+    if s.kind != "ginsburg":
+        raise PreconditionError("unambiguous-etol expects a ginsburg spec, got %s" % s.kind)
+    return etol.unambiguous_bounded_etol(s.words, s.q1), []
+
+
 def _normal_form(g, args):
     out, cert = mx.normal_form(g, args.index)
     return out, ["already normal: %s" % cert.already_normal]
@@ -334,9 +342,7 @@ _CONVERSIONS = {
         SemilinearSet, lambda q, a: (etol.semilinear_to_etol(q, tuple(_letters(a))), []),
         lambda q, a: BoundedSpec([(l,) for l in a.letters], "ginsburg", q1=q), _index_audit),
     "dcm": _Conversion(BoundedSpec, _dcm),
-    "unambiguous-etol": _Conversion(
-        BoundedSpec, lambda s, a: (etol.unambiguous_bounded_etol(s.words, s.q1), []),
-        check=_one_tree_per_word),
+    "unambiguous-etol": _Conversion(BoundedSpec, _unambiguous_etol, check=_one_tree_per_word),
     "reduced-etol": _Conversion(
         mx.MatrixGrammar, lambda g, a: (mx.matrix_to_reduced_etol(g, a.index), []),
         check=_counts_preserved),

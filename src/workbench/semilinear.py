@@ -10,6 +10,17 @@ tuple (w1,..,wk):
 * ``parikh``          -- words of that block shape whose Parikh image lies in Q2
 * ``ginsburg-parikh`` -- both constraints at once
 
+Membership in a linear set is an exact linear solve.  Each set holds a
+plan, worked out once by Gauss-Jordan elimination: a maximal independent
+subset of its periods (the basis), the other (free) periods, coordinates
+on which the basis is invertible, that inverse scaled to integers, and
+linear forms that vanish exactly on the span of the periods.  A query
+tests the span once, then enumerates multipliers for the free periods
+only and solves for the basis ones, so for r periods of rank s and
+coordinates up to n it costs O(n^(r - s)): exponential only in the
+number of dependent periods, and O(1) for a set whose periods are
+independent.
+
 Exact arithmetic throughout; nothing here touches floats.
 """
 
@@ -17,7 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import lcm
+from operator import mul, sub
+from typing import NamedTuple
 
 from .foundation import (
     Alphabet,
@@ -57,6 +72,54 @@ class LinearSet:
     def dim(self):
         return len(self.constant)
 
+    @cached_property
+    def _plan(self):
+        """The membership plan, worked out on first use (see ``_Plan``)."""
+        return _Plan.of(self.periods, self.dim)
+
+
+class _Plan(NamedTuple):
+    """How ``_member_linear`` solves for a linear set's multipliers."""
+
+    basis: tuple    # a maximal independent subset of the periods, greedy in period order
+    free: tuple     # the other periods, which lie in the span of the basis
+    coords: tuple   # len(basis) coordinates on which the basis is invertible
+    inv: tuple      # den * the inverse of that square submatrix, integer rows
+    den: int
+    kernel: tuple   # dim - rank integer forms that vanish exactly on the span
+
+    @classmethod
+    def of(cls, periods, dim):
+        # reducing [P | I], P the periods as columns: period j is a basis
+        # member iff column j is a pivot column, and the right-hand rows
+        # below the rank are forms that vanish exactly on the span of P
+        r = len(periods)
+        m = [[Fraction(p[i]) for p in periods] + [Fraction(int(i == j)) for j in range(dim)]
+             for i in range(dim)]
+        basis = tuple(_row_reduce(m, r))
+        rank = len(basis)
+        kernel = _integer_rows([row[r:] for row in m[rank:]])[1]
+        # reducing [T | I], T the basis periods as rows, picks the pivot
+        # coordinates c and leaves T[:, c]^-1 in the right-hand block
+        m = [[Fraction(x) for x in periods[b]] + [Fraction(int(i == j)) for j in range(rank)]
+             for i, b in enumerate(basis)]
+        coords = tuple(_row_reduce(m, dim))
+        # l_B solves sum_b l_b p_b[c] = rem[c], so its matrix is T[:, c]^-T
+        den, inv = _integer_rows([[m[i][dim + b] for i in range(rank)] for b in range(rank)])
+        free = tuple(j for j in range(r) if j not in basis)
+        return cls(basis, free, coords, inv, den, kernel)
+
+    def solve(self, rem):
+        """True iff rem, known to lie in the span of the basis, is a
+        nonnegative integer combination of it."""
+        x = [rem[c] for c in self.coords]
+        den = self.den
+        for row in self.inv:
+            l = sum(map(mul, row, x))
+            if l < 0 or l % den:
+                return False
+        return True
+
 
 @dataclass(frozen=True)
 class SemilinearSet:
@@ -87,47 +150,60 @@ def semilinear(*components):
 
 
 def _member_linear(ls, v):
-    """Exact bounded search for multipliers with v = v0 + sum l_j v_j.
+    """Exact solve for multipliers with v = constant + sum l_j p_j, l_j >= 0.
 
-    Any coordinate where a period is positive bounds that period's
-    multiplier by the target coordinate; a positive coordinate always
-    exists since all-zero periods are rejected at construction.
+    With rem = v - constant, rem must first lie in the span of the
+    periods, which the plan's kernel forms test on every coordinate.
+    Taking free periods off keeps rem in that span, and inside it the
+    basis multipliers are fixed by the plan's coordinates: l_B =
+    inv . rem[coords] / den, which must be nonnegative integers.  So
+    only the multipliers of the free periods are enumerated, each capped
+    by the remainder.
     """
-    rem = tuple(a - b for a, b in zip(v, ls.constant))
-    if any(x < 0 for x in rem):
+    rem = list(map(sub, v, ls.constant))
+    if min(rem) < 0:
         return False
-
-    periods = ls.periods
-
-    def search(rem, j):
-        if not any(rem):
-            return True
-        if j == len(periods):
+    plan = ls._plan
+    for z in plan.kernel:
+        if sum(map(mul, z, rem)):
             return False
-        p = periods[j]
-        cap = min(rem[i] // p[i] for i in range(len(p)) if p[i] > 0)
-        for mult in range(cap + 1):
-            nxt = tuple(r - mult * x for r, x in zip(rem, p))
-            if search(nxt, j + 1):
-                return True
-        return False
+    if not plan.free:
+        return plan.solve(rem)
+    return _search_free(ls.periods, plan, 0, rem)
 
-    return search(rem, 0)
+
+def _search_free(periods, plan, j, rem):
+    """Some choice of multipliers for the free periods from the j-th on
+    leaves a remainder that the basis solves."""
+    if j == len(plan.free):
+        return plan.solve(rem)
+    p = periods[plan.free[j]]
+    cap = min(r // x for r, x in zip(rem, p) if x)
+    for _ in range(cap + 1):
+        if _search_free(periods, plan, j + 1, rem):
+            return True
+        rem = list(map(sub, rem, p))
+    return False
 
 
 def member(q, v):
-    """True iff some component of q contains the vector v."""
-    v = tuple(int(x) for x in v)
+    """True iff some component of q contains the vector v.
+
+    Each linear component is answered by an exact solve (see
+    ``_member_linear``) that searches only the multipliers of its
+    dependent periods: a component whose r periods have rank s costs
+    O(n^(r - s)) for coordinates up to n, and O(1) when its periods are
+    independent.
+    """
+    v = tuple(map(int, v))
     if len(v) != q.dim:
         raise PreconditionError("vector dimension %d != set dimension %d" % (len(v), q.dim))
-    if any(x < 0 for x in v):
+    if min(v) < 0:
         return False
-    return any(_member_linear(c, v) for c in q.components)
-
-
-def enumerate_vectors(q, coord_bound):
-    """All members of q inside the box [0, coord_bound]^k (brute force)."""
-    return [v for v in product(range(coord_bound + 1), repeat=q.dim) if member(q, v)]
+    for c in q.components:
+        if _member_linear(c, v):
+            return True
+    return False
 
 
 def phi(words, t):
@@ -246,12 +322,16 @@ def _row_reduce(m, ncols):
     return pivots
 
 
+def _integer_rows(rows):
+    """(den, den * rows as integer tuples), den the least common
+    denominator of the Fraction rows."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, tuple(tuple(int(x * den) for x in row) for row in rows)
+
+
 def is_simple(ls):
     """True iff the periods are linearly independent over the rationals."""
-    if not ls.periods:
-        return True
-    m = [[Fraction(x) for x in p] for p in ls.periods]
-    return len(_row_reduce(m, ls.dim)) == len(ls.periods)
+    return not ls._plan.free
 
 
 @dataclass(frozen=True)

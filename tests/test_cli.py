@@ -272,6 +272,19 @@ def test_enumerate_without_enumerator_is_precondition_error(docs, capsys):
     assert "no enumerator registered for 'SemilinearSet'" in err
 
 
+@pytest.mark.parametrize("spec", [fixtures.ABA_PARIKH, fixtures.L3_SPEC],
+                         ids=["parikh", "ginsburg-parikh"])
+def test_unambiguous_etol_rejects_non_ginsburg_specs(tmp_path, capsys, spec):
+    # the construction reads Q1 only: a parikh spec, with no Q1, died with
+    # an AttributeError; a ginsburg-parikh spec lost its Q2 and read as
+    # "oracle-equal: FAIL"
+    path = _write(tmp_path, "spec.json", spec)
+    assert cli.main(["convert", path, "--to", "unambiguous-etol"]) == 2
+    out, err = capsys.readouterr()
+    assert "oracle-equal" not in out
+    assert err == "error: unambiguous-etol expects a ginsburg spec, got %s\n" % spec.kind
+
+
 # ------------------------------------------------------------ round trip
 
 LETTERS = "abc"

@@ -1,9 +1,10 @@
 """Linear/semilinear membership, phi, boundedness notions, semi-simplicity."""
 
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from workbench.foundation import Alphabet, PreconditionError, enumerate_language, parikh, word
 from workbench.semilinear import (
@@ -75,6 +76,74 @@ def test_member_agrees_with_brute_oracle_on_box():
     for q in FIXTURE_SETS:
         for v in product(range(16), repeat=q.dim):
             assert member(q, v) == brute_member(q, v), (q, v)
+
+
+@st.composite
+def _linear_sets(draw):
+    """Dimension 1-4, 0-5 periods with entries 0-3: rank-deficient sets
+    are common."""
+    k = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    return linear(draw(vec), *draw(st.lists(vec.filter(any), max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_linear_sets(), st.data())
+def test_member_agrees_with_brute_oracle_on_random_sets(ls, data):
+    q = semilinear(ls)
+    box = st.lists(st.integers(0, 12), min_size=ls.dim, max_size=ls.dim)
+    vectors = data.draw(st.lists(box, min_size=1, max_size=6))
+    mults = data.draw(st.lists(st.integers(0, 3), min_size=len(ls.periods),
+                               max_size=len(ls.periods)))
+    hit = [c + sum(m * p[i] for m, p in zip(mults, ls.periods))
+           for i, c in enumerate(ls.constant)]
+    # the hit and its neighbours one step off in each coordinate
+    for i, d in product(range(ls.dim), (0, -1, 1)):
+        v = list(hit)
+        v[i] += d
+        if 0 <= min(v) and max(v) <= 12:
+            vectors.append(v)
+    for v in vectors:
+        # every period has coordinate sum >= 1, so no representation of v
+        # uses more than sum(v) multipliers in all
+        assert member(q, v) == brute_member(q, v, mult_cap=sum(v)), v
+
+
+def test_member_probe_searches_only_the_dependent_period():
+    # four periods of rank 3: one multiplier is searched, the other three
+    # are solved for; a search over all four is O(n^4) on the miss
+    q = semilinear(linear((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)))
+    n = 400
+    assert not member(q, (n, n - 1, n + 1))
+    assert member(q, (n, n, n))
+
+
+def _det(m):
+    """Leibniz determinant of a small integer matrix."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        term = sign
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _rank(vectors, dim):
+    """The largest r with a nonzero r x r minor."""
+    for r in range(min(len(vectors), dim), 0, -1):
+        for rows in combinations(vectors, r):
+            for cols in combinations(range(dim), r):
+                if _det([[v[c] for c in cols] for v in rows]):
+                    return r
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_linear_sets())
+def test_is_simple_agrees_with_minor_rank(ls):
+    assert is_simple(ls) == (_rank(ls.periods, ls.dim) == len(ls.periods))
 
 
 def test_member_dimension_mismatch():
