@@ -15,20 +15,32 @@ Derivation trees are compared structurally *including the table used at
 each level*: two trees that apply identical productions but name
 different tables are distinct.
 
+Each grammar (an :class:`EtolSystem` here, a ``matrix.MatrixGrammar``
+there) holds one successor table, :class:`_Successors`, filled the first
+time a form is expanded and kept as long as the grammar object lives;
+grammars are never mutated after construction, so an entry never goes
+stale.  Per form it keeps every rule's successors in (len, w) order for
+the enumerators and the edges (successor, multiplicity summed over the
+rules) for the derivation counters; per distinct successor it keeps the
+least yield and the persistent-symbol projection the counters prune
+with.  An enumeration, an index audit and every per-word count on the
+same grammar therefore expand each form once.
+
 One counter serves every derivation count in the workbench:
 :func:`_count_paths` counts the weighted paths from a start form to a
-word, memoized on (sentential form, depth), so unit cycles surface as a
-budget-marked ">= n" lower bound instead of nontermination.
-:func:`count_trees` runs it over ETOL steps (weighted by the choice
-vectors reaching a successor), ``matrix.count_derivations`` over matrix
-applications (one per per-origin row).
+word over a grammar's successor table, memoized on (sentential form,
+depth), so unit cycles surface as a budget-marked ">= n" lower bound
+instead of nontermination.  :func:`count_trees` runs it over ETOL steps
+(weighted by the choice vectors reaching a successor),
+``matrix.count_derivations`` over matrix applications (one per
+per-origin row).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 
 from .foundation import (
     DEFAULT_BUDGET,
@@ -111,12 +123,79 @@ class EtolSystem:
                     act.add(x)
         return act
 
+    @cached_property
+    def _successors(self):
+        """The successor table, filled on first use (see ``_Successors``).
+        Terminal words are final in reduced systems, so their terminals
+        persist; plain systems rewrite everything but inactive symbols."""
+        if self.reduced:
+            persistent = self._sset
+        else:
+            persistent = (self._vset | self._sset) - self.active_symbols()
+        return _Successors(
+            lambda s, ti: step_with_multiplicity(self, s, ti), len(self.tables),
+            min_yield_map(self), persistent,
+        )
+
     def __repr__(self):
         return "EtolSystem(%d tables, axiom=%r, reduced=%r)" % (
             len(self.tables),
             self.axiom,
             self.reduced,
         )
+
+
+def _by_len(w):
+    return (len(w), w)
+
+
+class _Successors:
+    """One grammar's successor table, filled as forms are first expanded.
+
+    ``expand(form, rule)`` gives one rule's {successor: multiplicity}
+    dict.  Per form the table keeps the successors rule after rule, each
+    rule's in (len, w) order (``ordered``, for the enumerators), and the
+    edges (successor, multiplicity summed over the rules, least yield,
+    persistent projection) for the derivation counters.  ``info`` keeps
+    the last two per distinct successor: the sum of ``yields`` over its
+    symbols and the subsequence of its ``persistent`` symbols.
+    """
+
+    def __init__(self, expand, rules, yields, persistent):
+        self.expand = expand
+        self.rules = range(rules)
+        self.yields = yields
+        self.persistent = persistent
+        self.forms = {}
+        self.infos = {}
+
+    def info(self, s):
+        i = self.infos.get(s)
+        if i is None:
+            i = self.infos[s] = (
+                sum(self.yields[x] for x in s), tuple(x for x in s if x in self.persistent)
+            )
+        return i
+
+    def entry(self, s):
+        e = self.forms.get(s)
+        if e is None:
+            ordered, merged = [], {}
+            for r in self.rules:
+                succs = self.expand(s, r)
+                ordered += sorted(succs, key=_by_len)
+                for succ, n in succs.items():
+                    merged[succ] = merged.get(succ, 0) + n
+            e = self.forms[s] = (
+                ordered, [(succ, n) + self.info(succ) for succ, n in merged.items()]
+            )
+        return e
+
+    def ordered(self, s):
+        return self.entry(s)[0]
+
+    def edges(self, s):
+        return self.entry(s)[1]
 
 
 def classify(g):
@@ -152,29 +231,37 @@ def _options(g, sentential, table):
 
 
 def step(g, sentential, table):
-    """All successors of one parallel rewriting step under the table."""
-    sentential = tuple(sentential)
-    opts = _options(g, sentential, table)
-    if opts is None:
-        return []
-    out = set()
-    for choice in product(*opts):
-        out.add(tuple(s for part in choice for s in part))
-    return sorted(out, key=lambda w: (len(w), w))
+    """All successors of one parallel rewriting step under the table, in
+    (len, w) order: the keys of :func:`step_with_multiplicity`."""
+    return sorted(step_with_multiplicity(g, sentential, table), key=_by_len)
 
 
 def step_with_multiplicity(g, sentential, table):
     """Successors keyed to the number of distinct choice vectors reaching
-    them; the multiplicity is what tree counting needs."""
-    sentential = tuple(sentential)
-    opts = _options(g, sentential, table)
+    them; the multiplicity is what tree counting needs.
+
+    The positions are folded left to right into a dict of partial words
+    with summed multiplicities, so the work grows with the distinct
+    partial words, not with the choice vectors; a run of positions with a
+    single option joins the partial words as one segment."""
+    opts = _options(g, tuple(sentential), table)
     if opts is None:
         return {}
-    out = {}
-    for choice in product(*opts):
-        w = tuple(s for part in choice for s in part)
-        out[w] = out.get(w, 0) + 1
-    return out
+    words, segment = {(): 1}, ()
+    for rhss in opts:
+        if len(rhss) == 1:
+            segment += rhss[0]
+            continue
+        folded = {}
+        for u, n in words.items():
+            u += segment
+            for r in rhss:
+                v = u + r
+                folded[v] = folded.get(v, 0) + n
+        words, segment = folded, ()
+    if segment:
+        words = {u + segment: n for u, n in words.items()}
+    return words
 
 
 def _least_yields(rewritable, terminals, productions):
@@ -201,21 +288,12 @@ def min_yield_map(g):
     )
 
 
-def min_yield(g, sentential, m=None):
-    m = m or min_yield_map(g)
-    return sum(m[s] for s in sentential)
-
-
 def enumerate_etol(g, max_len, budget=None):
-    """L(G) ∩ Σ^{≤max_len} by breadth-first search over sentential forms."""
-    m = min_yield_map(g)
-
-    def successors(s):
-        for ti in range(len(g.tables)):
-            yield from step(g, s, ti)
-
+    """L(G) ∩ Σ^{≤max_len} by breadth-first search over sentential forms,
+    read off the successor table."""
+    table = g._successors
     return _budgeted(
-        _breadth_first((g.axiom,), successors, lambda s: sum(m[x] for x in s) <= max_len),
+        _breadth_first((g.axiom,), table.ordered, lambda s: table.info(s)[0] <= max_len),
         lambda s: s if g.is_word(s) and len(s) <= max_len else None,
         budget or DEFAULT_BUDGET,
     )
@@ -240,27 +318,28 @@ def _is_subsequence(small, big):
     return all(s in it for s in small)
 
 
-def _count_paths(start, w, successors, is_word, final, persistent, yields,
-                max_depth=None, cap=4096):
-    """Weighted number of rewriting paths from ``start`` to the word w.
+def _count_paths(g, start, w, final, max_depth=None, cap=4096):
+    """Weighted number of rewriting paths from ``start`` to the word w
+    over the edges of g's successor table.
 
-    ``successors(s)`` gives (successor, multiplicity) pairs; a path's
-    weight is the product of its multiplicities.  A word ends a path when
-    ``final`` holds (it is never rewritten) and is counted on the way
-    otherwise.  Successors whose least yield (``yields`` per symbol)
-    exceeds |w|, or whose ``persistent`` symbols are no subsequence of
-    w's, are pruned.  The count is exact unless the search hits the depth
-    or count cap; it is then a lower bound.
+    A path's weight is the product of its edge multiplicities.  A word
+    ends a path when ``final`` holds (it is never rewritten) and is
+    counted on the way otherwise.  Successors whose least yield exceeds
+    |w|, or whose persistent projection is no subsequence of w's, are
+    pruned.  The count is exact unless the search hits the depth or count
+    cap; it is then a lower bound.  Edges are summed in any order: a
+    capped node is (cap, False) whichever edge crossed the cap.
     """
     w = tuple(w)
     if max_depth is None:
         max_depth = 4 * len(w) + 12
-    w_persist = tuple(s for s in w if s in persistent)
+    table = g._successors
+    w_persist = tuple(s for s in w if s in table.persistent)
     memo = {}
 
     def count(s, depth):
         base = 0
-        if is_word(s):
+        if g.is_word(s):
             base = 1 if s == w else 0
             if final:
                 return (base, True)
@@ -270,10 +349,8 @@ def _count_paths(start, w, successors, is_word, final, persistent, yields,
         if key in memo:
             return memo[key]
         total, exact = base, True
-        for succ, mult in successors(s):
-            if sum(yields[x] for x in succ) > len(w):
-                continue
-            if not _is_subsequence(tuple(x for x in succ if x in persistent), w_persist):
+        for succ, mult, least, persist in table.edges(s):
+            if least > len(w) or not _is_subsequence(persist, w_persist):
                 continue
             sub, sub_exact = count(succ, depth - 1)
             total += mult * sub
@@ -295,20 +372,11 @@ def count_trees(g, w, max_depth=None, cap=4096):
     exact for reduced systems without unit cycles; when the search hits
     the depth or count cap the result is a lower bound.  Plain systems
     rewrite terminals too, so their words are not final.
+
+    The search reads g's successor table, so counts of many words (and an
+    enumeration before them) expand each sentential form once.
     """
-    if g.reduced:
-        persistent = set(g.sigma)
-    else:
-        persistent = (set(g.v) | set(g.sigma)) - g.active_symbols()
-
-    def successors(s):
-        for ti in range(len(g.tables)):
-            yield from step_with_multiplicity(g, s, ti).items()
-
-    return _count_paths(
-        (g.axiom,), w, successors, g.is_word, g.reduced, persistent,
-        min_yield_map(g), max_depth, cap,
-    )
+    return _count_paths(g, (g.axiom,), w, g.reduced, max_depth, cap)
 
 
 @dataclass
@@ -331,7 +399,7 @@ def index_audit(g, max_len, budget=None):
     """Minimal bottleneck active-symbol count per word, via a cheapest-
     bottleneck search over sentential forms."""
     budget = budget or DEFAULT_BUDGET
-    m = min_yield_map(g)
+    edges = g._successors.edges
     active = set(g.v) if g.reduced else g.active_symbols()
 
     def weight(s):
@@ -355,16 +423,13 @@ def index_audit(g, max_len, budget=None):
             per_word.setdefault(s, cost)
             if g.reduced:
                 continue
-        for ti in range(len(g.tables)):
-            for succ in step(g, s, ti):
-                if succ == s:
-                    continue
-                if min_yield(g, succ, m) > max_len:
-                    continue
-                nc = max(cost, weight(succ))
-                if nc < best.get(succ, INF):
-                    best[succ] = nc
-                    heapq.heappush(heap, (nc, succ))
+        for succ, _, least, _ in edges(s):
+            if succ == s or least > max_len:
+                continue
+            nc = max(cost, weight(succ))
+            if nc < best.get(succ, INF):
+                best[succ] = nc
+                heapq.heappush(heap, (nc, succ))
     gi = max(per_word.values()) if per_word else None
     return IndexAudit(per_word, gi, complete)
 
@@ -380,10 +445,12 @@ def _fresh(base, used):
 def active_normal_form(g):
     """Equivalent plain system whose active symbols are exactly V - Σ.
 
-    Active terminals move their productions to a primed nonterminal that
-    can re-emit the terminal at any step; inactive nonterminals become
-    dead-but-active via a two-symbol cycle, which preserves the language
-    (forms containing them never terminated anyway).
+    Active terminals move their productions to a primed nonterminal, and
+    terminals map to themselves; a finalization table turns each primed
+    symbol into its terminal and every other nonterminal into a dead
+    two-symbol cycle, as :func:`to_reduced` does.  Inactive nonterminals
+    join the dead cycle at once, which preserves the language (forms
+    containing them never terminated anyway).
     """
     if g.reduced:
         raise PreconditionError("active normal form applies to plain systems")
@@ -395,9 +462,8 @@ def active_normal_form(g):
     active_terms = sorted(act & set(g.sigma))
     prime = {a: _fresh(a + "'", used) for a in active_terms}
     inactive_nts = sorted(nonterminals - act)
-    dead = None
-    if inactive_nts:
-        dead = (_fresh("D1", used), _fresh("D2", used))
+    dead = (_fresh("D1", used), _fresh("D2", used))
+    cycle = {dead[0]: ((dead[1],),), dead[1]: ((dead[0],),)}
 
     def h(rhs):
         return tuple(prime.get(s, s) for s in rhs)
@@ -406,21 +472,22 @@ def active_normal_form(g):
     for t in g.tables:
         nt = {}
         for x in g.v:
-            rhss = t[x]
+            rhss = tuple(h(r) for r in t[x])
             if x in prime:
-                nt[x] = ((x,),)
-                nt[prime[x]] = tuple(h(r) for r in rhss) + ((x,),)
-            elif x in g._sset:
+                nt[prime[x]] = rhss
+            if x in g._sset:
                 nt[x] = ((x,),)
             elif x in inactive_nts:
                 nt[x] = ((dead[0],),)
             else:
-                nt[x] = tuple(h(r) for r in rhss)
-        if dead:
-            nt[dead[0]] = ((dead[1],),)
-            nt[dead[1]] = ((dead[0],),)
+                nt[x] = rhss
+        nt.update(cycle)
         new_tables.append(nt)
-    new_v = tuple(g.v) + tuple(prime[a] for a in active_terms) + (tuple(dead) if dead else ())
+    finalize = {x: ((x,),) if x in g._sset else ((dead[0],),) for x in g.v}
+    finalize.update((prime[a], ((a,),)) for a in active_terms)
+    finalize.update(cycle)
+    new_tables.append(finalize)
+    new_v = tuple(g.v) + tuple(prime[a] for a in active_terms) + dead
     axiom = prime.get(g.axiom, g.axiom)
     if axiom in inactive_nts:
         axiom = dead[0]  # language was empty apart from never-terminating forms

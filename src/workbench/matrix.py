@@ -11,6 +11,15 @@ granularity: a step is a (matrix, per-origin tuple) pair.  For grammars
 in normal form every granularity collapses to the matrix string itself,
 which is what makes the Szilard automaton deterministic.
 
+Each grammar holds one successor table (``etol._Successors``), filled
+through :func:`matrix_applications` the first time a form is expanded
+and kept as long as the grammar object lives (grammars are never
+mutated after construction).  Per form it keeps each matrix's successor
+forms in (len, w) order for :func:`enumerate_matrix`, and each distinct
+successor with its number of applications, least yield and terminal
+projection for :func:`count_derivations`, so an ambiguity audit applies
+each matrix to each form once.
+
 The four conversions (normal form, matrix to reduced ETOL, reduced ETOL
 to EDTOL and to matrix) read one profile table.  A profile is the
 nonterminal sequence of a sentential form; the table maps every profile
@@ -34,8 +43,9 @@ applications that inflate ambiguity).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 
 from .foundation import (
@@ -45,7 +55,7 @@ from .foundation import (
     _budgeted,
     register_enumerator,
 )
-from .etol import EtolSystem, _count_paths, _least_yields, _options
+from .etol import EtolSystem, _Successors, _count_paths, _least_yields, _options
 
 
 class IndexExceeded(PreconditionError):
@@ -91,6 +101,19 @@ class MatrixGrammar:
 
     def profile(self, sentential):
         return tuple(s for s in sentential if s in self._nset)
+
+    @cached_property
+    def _successors(self):
+        """The successor table, filled on first use: a successor's
+        multiplicity is its number of per-origin applications, and the
+        terminals persist."""
+        return _Successors(
+            lambda s, mi: Counter(succ for succ, _, _ in matrix_applications(self, s, mi)),
+            len(self.matrices),
+            _least_yields(self.nonterminals, self.terminals,
+                          [p for m in self.matrices for p in m]),
+            self._tset,
+        )
 
     def __repr__(self):
         return "MatrixGrammar(%d matrices, start=%r)" % (len(self.matrices), self.start)
@@ -139,20 +162,16 @@ def apply_matrix(g, sentential, m_idx):
     )
 
 
-def _min_yield_map(g):
-    return _least_yields(g.nonterminals, g.terminals, [p for m in g.matrices for p in m])
-
-
 def enumerate_matrix(g, max_len, budget=None):
-    m = _min_yield_map(g)
+    """L(G) ∩ Σ^{≤max_len} by breadth-first search over sentential forms,
+    read off the successor table; words are not expanded."""
+    table = g._successors
 
     def successors(s):
-        if not g.is_word(s):
-            for mi in range(len(g.matrices)):
-                yield from apply_matrix(g, s, mi)
+        return () if g.is_word(s) else table.ordered(s)
 
     return _budgeted(
-        _breadth_first((g.start,), successors, lambda s: sum(m[x] for x in s) <= max_len),
+        _breadth_first((g.start,), successors, lambda s: table.info(s)[0] <= max_len),
         lambda s: s if g.is_word(s) and len(s) <= max_len else None,
         budget or DEFAULT_BUDGET,
     )
@@ -163,17 +182,13 @@ register_enumerator(MatrixGrammar, enumerate_matrix)
 
 def count_derivations(g, w, max_depth=None, cap=4096):
     """Distinct derivations of w, a derivation being a sequence of
-    (matrix, per-origin tuple) steps; exact unless the budget is hit."""
+    (matrix, per-origin tuple) steps; exact unless the budget is hit.
 
-    def successors(s):
-        for mi in range(len(g.matrices)):
-            for succ, _, _ in matrix_applications(g, s, mi):
-                yield succ, 1
-
-    return _count_paths(
-        (g.start,), w, successors, g.is_word, True, g._tset,
-        _min_yield_map(g), max_depth, cap,
-    )
+    The search reads g's successor table, where a successor's
+    multiplicity is the number of applications reaching it, so counts of
+    many words (and an enumeration before them) apply each matrix to each
+    form once."""
+    return _count_paths(g, (g.start,), w, True, max_depth, cap)
 
 
 def _explore(start, k, rows):

@@ -3,6 +3,7 @@ command, the pinned output of every `convert` target, bad documents,
 and the document round trip for every kind."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +180,30 @@ def test_construction_value_error_is_not_a_malformed_document(docs, monkeypatch)
     monkeypatch.setattr(etol, "to_reduced", broken)
     with pytest.raises(ValueError, match="bug inside a construction"):
         cli.main(["convert", docs["abn"], "--to", "reduced"])
+
+
+def test_active_normal_form_conversion_keeps_the_doubling_language(tmp_path, capsys):
+    path = _write(tmp_path, "doubling.json", fixtures.doubling_edol())
+    rc, out, err = _run({}, ["convert", path, "--to", "active-normal-form",
+                             "--check-len", "17"], capsys)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "oracle-equal <= 17: PASS"
+
+
+def test_ambiguity_audit_applies_each_matrix_to_each_form_once(docs, capsys, monkeypatch):
+    # the enumeration and all 30 per-word counts share one successor table
+    calls = Counter()
+    apply = mx.matrix_applications
+
+    def counted(g, s, mi):
+        calls[tuple(s), mi] += 1
+        return apply(g, s, mi)
+
+    monkeypatch.setattr(mx, "matrix_applications", counted)
+    rc, out, _ = _run(docs, ["audit", "copy", "--kind", "ambiguity", "--max-len", "9"], capsys)
+    assert rc == 0
+    assert out.splitlines()[-1] == "max derivation count 1 over 30 words (exact=True)"
+    assert calls and set(calls.values()) == {1}
 
 
 def test_convert_help_names_each_target_source_kind(capsys):

@@ -1,10 +1,15 @@
 """Parallel rewriting, tree counting, audits, conversions, constructions."""
 
-import pytest
+from collections import Counter
+from itertools import product
+from math import comb
 
-from workbench.foundation import enumerate_language, word
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from workbench.foundation import Budget, enumerate_language, word
 from workbench.semilinear import linear, member, parikh, phi, semilinear
-from workbench import etol
+from workbench import etol, fixtures
 from workbench.foundation import Alphabet
 
 # the reduced {w#w} system: four partial tables over nonterminals {S, X}
@@ -78,6 +83,51 @@ def test_enumerate_wsw():
     g = wsw_reduced()
     got = enumerate_language(g, 7).require_complete().as_set()
     assert got == wsw_language(7)
+
+
+def _product_reference(g, form, ti):
+    """Successor multiplicities from the full product of choice vectors."""
+    t = g.tables[ti]
+    opts = [((s,),) if g.reduced and s in g.sigma else t.get(s) for s in form]
+    if None in opts:
+        return {}
+    return Counter(tuple(x for part in choice for x in part) for choice in product(*opts))
+
+
+@st.composite
+def _forms_and_tables(draw):
+    """A reduced one-table system over A, B (a nonterminal may lack
+    productions) and a form of up to 7 symbols."""
+    rhs = st.lists(st.sampled_from("ABab"), max_size=3).map(tuple)
+    table = {x: draw(st.lists(rhs, max_size=3)) for x in "AB"}
+    g = etol.EtolSystem("AB", "ab", "A", [table], reduced=True)
+    return g, tuple(draw(st.lists(st.sampled_from("ABab"), max_size=7)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms_and_tables())
+def test_step_multiplicities_match_the_product(case):
+    g, form = case
+    want = _product_reference(g, form, 0)
+    assert etol.step_with_multiplicity(g, form, 0) == want
+    assert etol.step(g, form, 0) == sorted(want, key=lambda w: (len(w), w))
+
+
+def test_step_multiplicities_on_2_to_the_40_choice_vectors():
+    g = etol.EtolSystem(("A",), ("a",), "A", [{"A": [("A", "A"), ()]}], reduced=True)
+    got = etol.step_with_multiplicity(g, ("A",) * 40, 0)
+    assert got == {("A",) * (2 * i): comb(40, i) for i in range(41)}
+
+
+def test_exponential_branching_stays_cheap():
+    # S -> A a, A -> A A | λ: the form A^n a has 2^n choice vectors but only
+    # n + 1 successors, so the budget, not the product, bounds the work
+    g = etol.EtolSystem(("S", "A"), ("a",), "S",
+                        [{"S": [("A", "a")], "A": [("A", "A"), ()]}], reduced=True)
+    e = enumerate_language(g, 1, Budget(max_steps=14))
+    assert (e.words, e.complete, e.explored) == ([("a",)], False, 15)
+    tc = etol.count_trees(g, ("a",), max_depth=8)
+    assert (tc.value, tc.exact) == (4096, False)
 
 
 def test_count_trees_unambiguous_wsw():
@@ -162,6 +212,17 @@ def test_active_normal_form_constructs_primes_and_preserves_language():
     before = enumerate_language(g, 8).require_complete().as_set()
     after = enumerate_language(anf, 8).require_complete().as_set()
     assert before == after == wsw_language(8)
+
+
+def test_active_normal_form_keeps_the_doubling_lengths():
+    # a primed symbol that could re-emit its terminal at any step let
+    # a' -> a'a' | a reach every length
+    g = fixtures.doubling_edol()
+    anf = etol.active_normal_form(g)
+    assert anf.active_symbols() == set(anf.v) - set(anf.sigma)
+    for h in (g, anf):
+        words = enumerate_language(h, 17).require_complete().words
+        assert {len(w) for w in words} == {1, 2, 4, 8, 16}
 
 
 def test_active_normal_form_identity_on_constant_system():

@@ -407,3 +407,24 @@ def test_matrix_to_reduced_etol_on_small_grammars(g):
         dc = mx.count_derivations(g, w)
         tc = etol.count_trees(sysr, w)
         assert dc.exact and tc.exact and dc.value == tc.value, w
+
+
+def _fresh_copy(g):
+    """The same grammar as a new object, with an empty successor table."""
+    if isinstance(g, mx.MatrixGrammar):
+        return mx.MatrixGrammar(g.nonterminals, g.terminals, g.start, g.matrices)
+    return etol.EtolSystem(g.v, g.sigma, g.axiom, g.tables, g.reduced)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("etol", "matrix")).flatmap(small_systems), st.randoms())
+def test_shared_successor_table_counts_match_fresh_grammars(g, rnd):
+    # one grammar object serves an enumeration and then every count, in
+    # any order and under any budget, as a fresh object per count would
+    count = mx.count_derivations if isinstance(g, mx.MatrixGrammar) else etol.count_trees
+    words = enumerate_language(g, 6).require_complete().words
+    queries = [(w, cap, depth) for w in words for cap in (2, 4096) for depth in (None, 2)]
+    rnd.shuffle(queries)
+    for w, cap, depth in queries:
+        shared = count(g, w, max_depth=depth, cap=cap)
+        assert shared == count(_fresh_copy(g), w, max_depth=depth, cap=cap), (w, cap, depth)
