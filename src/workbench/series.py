@@ -1,11 +1,13 @@
 """Counting and characteristic series at desk scale.
 
-The counting side walks the theta-weighted Szilard automaton of a
-normal-form matrix grammar: the number of accepted matrix strings whose
-theta-image has length n (or Parikh vector v) is computed by dynamic
-programming with exact integers.  Zero-weight cycles that an accepted
-path can traverse make a coefficient infinite; those are detected first
-and reported as a distinguished value instead of looping.
+The counting side counts the accepted paths of the Szilard automaton of
+a normal-form matrix grammar, each matrix weighted by its theta-image:
+the length |theta(m)| as a 1-vector, or the Parikh vector psi(theta(m)),
+which needs at least one terminal.  A breadth-first walk visits the
+(state, weight so far) nodes reachable within the bound, and one pass in
+Kahn's topological order sums exact path counts over them.  The nodes
+that order never reaches lie on or after a zero-weight cycle; their
+accepting weights have infinitely many paths and read INFINITE.
 
 The brute side counts words straight out of the enumeration oracle, and
 the recurrence fitter searches for the smallest-order exact-rational
@@ -15,10 +17,18 @@ term so short-sequence coincidences don't pass.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .foundation import PreconditionError, enumerate_language, parikh, Alphabet
+from .foundation import (
+    Alphabet,
+    PreconditionError,
+    _breadth_first,
+    enumerate_language,
+    parikh,
+)
 from .matrix import szilard_dfa, theta
 from .semilinear import _row_reduce
 
@@ -53,200 +63,44 @@ class CoefficientTable:
         return CoefficientTable(out, self.bound, "length")
 
 
-@dataclass(frozen=True)
-class WeightedSzilard:
-    """Szilard DFA with one weight per matrix: |theta(m)| in length mode,
-    psi(theta(m)) in Parikh mode."""
+def path_counts(dfa, weights, width, bound):
+    """Accepted paths of ``dfa`` per weight, for weights of total <= ``bound``.
 
-    dfa: object
-    weights: tuple
-    mode: str
+    ``weights[m]`` is the weight of transition letter m, a vector of
+    ``width`` non-negative integers.  A breadth-first walk visits every
+    (state, weight so far) node reachable within the bound, and one pass
+    in Kahn's topological order over those nodes sums the paths into
+    each.  A node that the order never reaches lies on or after a cycle
+    of zero-weight edges, so it has infinitely many paths: an accepting
+    node of that kind makes its weight INFINITE."""
+    out = {}
+    for (q, m), t in dfa.transitions.items():
+        out.setdefault(q, []).append((t, weights[m]))
+    edges = {}
 
+    def successors(node):
+        q, w = node
+        nxt = [(t, tuple(map(add, w, ew))) for t, ew in out.get(q, ())]
+        edges[node] = [n for n in nxt if sum(n[1]) <= bound]
+        return edges[node]
 
-def weighted_szilard(g, k, mode="length", alphabet=None):
-    dfa = szilard_dfa(g, k)
-    th = theta(g)
-    if mode == "length":
-        weights = tuple(len(t) for t in th)
-    elif mode == "parikh":
-        alphabet = alphabet or Alphabet(g.terminals)
-        weights = tuple(parikh(t, alphabet) for t in th)
-    else:
-        raise ValueError("mode must be length or parikh")
-    return WeightedSzilard(dfa, weights, mode)
-
-
-def _edges(ws):
-    out = []
-    for (q, mi), t in ws.dfa.transitions.items():
-        out.append((q, ws.weights[mi], t))
-    return out
-
-
-def _zero(ws):
-    return 0 if ws.mode == "length" else tuple([0] * len(ws.weights[0]))
-
-
-def _wadd(a, b):
-    if isinstance(a, int):
-        return a + b
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _wtotal(w):
-    return w if isinstance(w, int) else sum(w)
-
-
-def _pump_states(ws):
-    """States on a zero-weight cycle that some accepted path can visit."""
-    zero = _zero(ws)
-    zero_adj = {}
-    for q, w, t in _edges(ws):
-        if w == zero:
-            zero_adj.setdefault(q, set()).add(t)
-
-    def zero_cycle(q):
-        stack = list(zero_adj.get(q, ()))
-        seen = set(stack)
-        while stack:
-            t = stack.pop()
-            if t == q:
-                return True
-            for u in zero_adj.get(t, ()):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return False
-
-    adj = {}
-    radj = {}
-    for q, _, t in _edges(ws):
-        adj.setdefault(q, set()).add(t)
-        radj.setdefault(t, set()).add(q)
-
-    def reach(starts, graph):
-        seen = set(starts)
-        stack = list(starts)
-        while stack:
-            q = stack.pop()
-            for t in graph.get(q, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-    fwd = reach([ws.dfa.initial], adj)
-    bwd = reach(list(ws.dfa.accepting), radj)
-    useful = fwd & bwd
-    return {q for q in useful if zero_cycle(q)}, useful
-
-
-def path_counts(ws, bound):
-    """Accepted-path counts per weight, with INFINITE where a zero-weight
-    cycle is on some accepted path of that weight."""
-    zero = _zero(ws)
-    pump, useful = _pump_states(ws)
-    edges = [e for e in _edges(ws) if e[0] in useful and e[2] in useful]
-
-    # which weights admit an accepted path through a pump state: a
-    # breadth-first search over (state, weight, passed a pump state yet)
-    frontier = [(ws.dfa.initial, zero, ws.dfa.initial in pump)]
-    seenr = {frontier[0]}
-    infinite_weights = set()
-    while frontier:
-        nxt = []
-        for q, w, t in frontier:
-            if t and q in ws.dfa.accepting:
-                infinite_weights.add(w)
-            for (src, ew, dst) in edges:
-                if src != q:
-                    continue
-                nw = _wadd(w, ew)
-                if _wtotal(nw) > bound:
-                    continue
-                item = (dst, nw, t or dst in pump)
-                if item not in seenr:
-                    seenr.add(item)
-                    nxt.append(item)
-        frontier = nxt
-
-    # exact counts on the pump-free useful subgraph
-    adj = {}
-    for q, w, t in edges:
-        if q in pump or t in pump:
-            continue
-        adj.setdefault(q, []).append((w, t))
-
-    zero_adj = {q: [t for (w, t) in lst if w == zero] for q, lst in adj.items()}
-    order = []
-    seen = {}
-
-    def topo(q):
-        seen[q] = 1
-        for t in zero_adj.get(q, ()):
-            if seen.get(t) == 1:
-                raise PreconditionError("zero-weight cycle outside pump set")
-            if t not in seen:
-                topo(t)
-        seen[q] = 2
-        order.append(q)
-
-    states = set()
-    for q, w, t in edges:
-        states.add(q)
-        states.add(t)
-    states.add(ws.dfa.initial)
-    for q in states:
-        if q not in seen and q not in pump:
-            topo(q)
-    topo_order = list(reversed(order))
-
-    start = ws.dfa.initial
-    counts = {}
-    if start not in pump:
-        counts[(start, zero)] = 1
-
-    # enumerate weight values in increasing total order
-    all_weights = {zero}
-    frontier_w = {zero}
-    while frontier_w:
-        nw = set()
-        for w in frontier_w:
-            for _, ew, _ in edges:
-                cand = _wadd(w, ew)
-                if _wtotal(cand) <= bound and cand not in all_weights:
-                    all_weights.add(cand)
-                    nw.add(cand)
-        frontier_w = nw
-    weight_order = sorted(all_weights, key=lambda w: (_wtotal(w), repr(w)))
-
-    for w in weight_order:
-        # zero-edge propagation in topological order at this weight level
-        for q in topo_order:
-            c = counts.get((q, w), 0)
-            if not c:
-                continue
-            for t in zero_adj.get(q, ()):
-                counts[(t, w)] = counts.get((t, w), 0) + c
-        for q in topo_order:
-            c = counts.get((q, w), 0)
-            if not c:
-                continue
-            for ew, t in adj.get(q, ()):
-                if ew == zero:
-                    continue
-                cand = _wadd(w, ew)
-                if _wtotal(cand) <= bound:
-                    counts[(t, cand)] = counts.get((t, cand), 0) + c
-
+    start = (dfa.initial, (0,) * width)
+    nodes = list(_breadth_first(start, successors))
+    indegree = Counter(n for nxt in edges.values() for n in nxt)
+    paths = {start: 1}
+    ready = [] if indegree[start] else [start]
+    while ready:
+        node = ready.pop()
+        for n in edges[node]:
+            paths[n] = paths.get(n, 0) + paths[node]
+            indegree[n] -= 1
+            if not indegree[n]:
+                ready.append(n)
     table = {}
-    for w in weight_order:
-        total = sum(counts.get((q, w), 0) for q in ws.dfa.accepting)
-        key = w if ws.mode == "parikh" else _wtotal(w)
-        if w in infinite_weights:
-            table[key] = INFINITE
-        elif total:
-            table[key] = table.get(key, 0) + total
+    for node in nodes:
+        q, w = node
+        if q in dfa.accepting:
+            table[w] = INFINITE if indegree[node] else table.get(w, 0) + paths[node]
     return table
 
 
@@ -255,17 +109,24 @@ def counting_coefficients(g, n_max, k=8):
 
     For an unambiguous normal-form grammar this is the counting function
     of L(G)."""
-    ws = weighted_szilard(g, k, "length")
-    return CoefficientTable(path_counts(ws, n_max), n_max, "length")
+    weights = [(len(t),) for t in theta(g)]
+    table = path_counts(szilard_dfa(g, k), weights, 1, n_max)
+    return CoefficientTable({n: c for (n,), c in table.items()}, n_max, "length")
 
 
 def parikh_multiplicities(g, norm_bound, k=8, alphabet=None):
     """Accepted matrix strings per theta-image Parikh vector, |v| <= bound.
 
+    Parikh vectors need at least one terminal (or an explicit alphabet).
     For an unambiguous normal-form grammar these are the coefficients of
     the characteristic series of L(G) in commutative variables."""
-    ws = weighted_szilard(g, k, "parikh", alphabet=alphabet)
-    return CoefficientTable(path_counts(ws, norm_bound), norm_bound, "parikh")
+    dfa = szilard_dfa(g, k)
+    if alphabet is None and not g.terminals:
+        raise PreconditionError("parikh mode needs at least one terminal")
+    alphabet = alphabet or Alphabet(g.terminals)
+    weights = [parikh(t, alphabet) for t in theta(g)]
+    table = path_counts(dfa, weights, len(alphabet), norm_bound)
+    return CoefficientTable(table, norm_bound, "parikh")
 
 
 def brute_counting(spec, n_max, budget=None):

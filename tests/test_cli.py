@@ -63,6 +63,49 @@ def test_series_too_few_terms_is_precondition_error(tmp_path, capsys):
     assert "no recurrence" not in out.out
 
 
+def test_series_length_output_is_pinned(tmp_path, capsys):
+    # f(2n+1) = 2^n for n >= 1 on {x#x : x in {a,b}+}
+    path = _write(tmp_path, "copy.json", copy_language_matrix())
+    assert cli.main(["series", path, "--count", "40"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "config: max-len=10 steps=100000 count=40 mode=length",
+        "grammar already in normal form",
+    ] + ["%d %d" % (n, 2 ** (n // 2) if n >= 3 and n % 2 else 0) for n in range(41)] + [
+        "fit: order 1: a[n] = (2)*a[n-1] (validated on 18 terms) (on the stride-2 nonzero subsequence)",
+    ]
+
+
+def test_series_parikh_output_is_pinned(tmp_path, capsys):
+    # coordinates (a, b, #): x#x with i a's and j b's in x has C(i+j, i)
+    path = _write(tmp_path, "copy.json", copy_language_matrix())
+    assert cli.main(["series", path, "--mode", "parikh", "--count", "12"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "config: max-len=10 steps=100000 count=12 mode=parikh",
+        "grammar already in normal form",
+        "0,2,1 1", "2,0,1 1",
+        "0,4,1 1", "2,2,1 2", "4,0,1 1",
+        "0,6,1 1", "2,4,1 3", "4,2,1 3", "6,0,1 1",
+        "0,8,1 1", "2,6,1 4", "4,4,1 6", "6,2,1 4", "8,0,1 1",
+        "0,10,1 1", "2,8,1 5", "4,6,1 10", "6,4,1 10", "8,2,1 5", "10,0,1 1",
+    ]
+
+
+def test_series_parikh_without_matrices_prints_an_empty_table(tmp_path, capsys):
+    path = _write(tmp_path, "none.json", mx.MatrixGrammar(("S",), ("a",), "S", []))
+    assert cli.main(["series", path, "--mode", "parikh"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "config: max-len=10 steps=100000 count=12 mode=parikh",
+        "grammar already in normal form",
+    ]
+
+
+def test_series_parikh_without_terminals_is_precondition_error(tmp_path, capsys):
+    g = mx.MatrixGrammar(("S", "A"), (), "S", [(("S", ("A",)),), (("A", ()),)])
+    path = _write(tmp_path, "lambda.json", g)
+    assert cli.main(["series", path, "--mode", "parikh"]) == 2
+    assert capsys.readouterr().err.startswith("error: parikh mode needs at least one terminal")
+
+
 def test_regex_document_round_trip(tmp_path, capsys):
     text = cli.dump_document(RegexLanguage("(ab)*", Alphabet("ab")))
     assert cli.dump_document(cli.parse_document(text)) == text

@@ -1,11 +1,14 @@
 """Weighted Szilard counting vs brute enumeration; recurrence fitting."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_matrix import small_systems
 
-from workbench.foundation import Alphabet, PreconditionError, enumerate_language, word
+from workbench.foundation import Alphabet, PreconditionError, enumerate_language, parikh, word
 from workbench.semilinear import linear, semilinear
 from workbench import counter as cm
 from workbench import matrix as mx
@@ -71,6 +74,59 @@ def test_counting_infinite_coefficient_detected():
     )
     table = series.counting_coefficients(g, 3, k=1)
     assert table[1] == series.INFINITE
+
+
+def layered_path_counts(dfa, weights, width, bound, layers):
+    """Accepted paths of at most ``layers`` steps per weight of total
+    <= bound, counted one path length at a time."""
+    layer = Counter({(dfa.initial, (0,) * width): 1})
+    totals = Counter()
+    for _ in range(layers + 1):
+        nxt = Counter()
+        for (q, w), c in layer.items():
+            if q in dfa.accepting:
+                totals[w] += c
+            for m, ew in enumerate(weights):
+                t = dfa.step(q, m)
+                v = tuple(x + y for x, y in zip(w, ew))
+                if t is not None and sum(v) <= bound:
+                    nxt[(t, v)] += c
+        layer = nxt
+    return totals
+
+
+@st.composite
+def grammars_with_loops(draw):
+    g = draw(small_systems("matrix"))
+    loops = draw(st.lists(st.sampled_from(g.nonterminals), max_size=1))
+    # a zero-weight self-loop makes the coefficients it can reach infinite
+    loops = tuple(((x, (x,)),) for x in loops)
+    return mx.MatrixGrammar(g.nonterminals, g.terminals, g.start, g.matrices + loops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grammars_with_loops())
+def test_path_counts_match_layered_counts(g):
+    # a finite coefficient of total <= bound only has paths shorter than
+    # L1 = (bound+1)*|states|; a zero-weight cycle of at most |states|
+    # steps on an accepted path adds a longer one before L2 = L1+|states|
+    bound, k = 6, 2
+    nf, _ = mx.normal_form(g, k)
+    dfa = mx.szilard_dfa(nf, k + 2)
+    l1 = (bound + 1) * len(dfa.states)
+    l2 = l1 + len(dfa.states)
+    images = mx.theta(nf)
+    alphabet = Alphabet(nf.terminals)
+    length = series.counting_coefficients(nf, bound, k=k + 2)
+    modes = [
+        ([(len(t),) for t in images], 1, {(n,): c for n, c in length.entries.items()}),
+        ([parikh(t, alphabet) for t in images], len(alphabet),
+         series.parikh_multiplicities(nf, bound, k=k + 2).entries),
+    ]
+    for weights, width, table in modes:
+        short = layered_path_counts(dfa, weights, width, bound, l1)
+        long = layered_path_counts(dfa, weights, width, bound, l2)
+        assert table == {w: c if short[w] == c else series.INFINITE for w, c in long.items()}
 
 
 def test_parikh_multiplicities_copy_fixture():
