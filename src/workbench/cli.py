@@ -406,13 +406,11 @@ def cmd_series(args):
     obj = load_object(args.object)
     if not isinstance(obj, mx.MatrixGrammar):
         raise PreconditionError("series expects a matrix_grammar object")
-    try:
-        mx.szilard_dfa(obj, args.index)
-        grammar = obj
-        note = "grammar already in normal form"
-    except PreconditionError:
-        grammar, cert = mx.normal_form(obj, args.index)
-        note = "normal form auto-invoked (already_normal=%s)" % cert.already_normal
+    if args.count < 0:
+        raise PreconditionError("--count must be >= 0")
+    grammar, cert = mx.normal_form(obj, args.index)
+    note = ("grammar already in normal form" if cert.already_normal
+            else "normal form auto-invoked (already_normal=False)")
     print(_config_line(args, ["count=%d" % args.count, "mode=%s" % args.mode]))
     print(note)
     if args.mode == "length":

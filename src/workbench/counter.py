@@ -12,9 +12,17 @@ increasing phase to a strictly decreasing one or vice versa; zero moves
 (plateaus) do not end a phase.  Runs whose reversal count exceeds the
 machine's bound are inadmissible and pruned during simulation.
 
-Simulation memoizes configurations and shares frontier sets across a
-whole prefix tree, so checking every word up to a length bound against
-a machine is cheap enough for the oracle-style test suite.
+Simulation memoizes configuration sets and shares them across a whole
+prefix tree, so checking every word up to a length bound against a
+machine is cheap enough for the oracle-style test suite.  One lazy walk,
+:meth:`Simulator._lambda_reach`, yields the λ-successors of a set as it
+finds them: the λ-closure of a set is all of it, and the acceptance
+probe stops at the first accepting configuration after the end-marker.
+
+Both bounded-language constructions, the NCM of :func:`from_semilinear`
+and the DCM of :func:`dcm_for_bounded`, verify a counter vector by
+λ-chains that subtract a constant or a period one unit step at a time;
+:func:`_chain` compiles every such chain for both.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .foundation import (
     register_enumerator,
     sort_words,
 )
-from .semilinear import _tuples_within_length, phi
+from .semilinear import _phi_collision, _tuples_within_length, phi
 from . import vecautomata
 
 END = "<end>"   # right end-marker pseudo-symbol; never part of an input alphabet
@@ -174,22 +182,27 @@ class Simulator:
                     out.append((p, tuple(cs), tuple(phs), tuple(rvs)))
         return out
 
-    def closure_id(self, set_id):
-        """λ-closure of a config set, interned."""
-        if set_id in self._closure:
-            return self._closure[set_id]
-        seen = set(self._by_id[set_id])
-        stack = list(seen)
+    def _lambda_reach(self, configs):
+        """The given configs, then each new λ-successor as it is found;
+        each config expanded costs one step."""
+        seen = set(configs)
+        yield from seen
+        stack = list(configs)
         while stack:
             cfg = stack.pop()
             self._charge()
             for nxt in self._apply(cfg, None):
                 if nxt not in seen:
                     seen.add(nxt)
+                    yield nxt
                     stack.append(nxt)
-        out = self._intern(frozenset(seen))
-        self._closure[set_id] = out
-        return out
+
+    def closure_id(self, set_id):
+        """λ-closure of a config set, interned."""
+        if set_id not in self._closure:
+            reach = self._lambda_reach(self._by_id[set_id])
+            self._closure[set_id] = self._intern(frozenset(reach))
+        return self._closure[set_id]
 
     def extend_id(self, set_id, sym):
         key = (set_id, sym)
@@ -206,28 +219,12 @@ class Simulator:
 
     def probe_id(self, set_id):
         """Can the run consume the end-marker and reach acceptance?"""
-        if set_id in self._probe:
-            return self._probe[set_id]
-        closed = self._by_id[self.closure_id(set_id)]
-        after_end = set()
-        for cfg in closed:
-            self._charge()
-            after_end.update(self._apply(cfg, END))
-        seen = set(after_end)
-        stack = list(after_end)
-        hit = any(cfg[0] in self.m.accepting for cfg in seen)
-        while stack and not hit:
-            cfg = stack.pop()
-            self._charge()
-            for nxt in self._apply(cfg, None):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if nxt[0] in self.m.accepting:
-                        hit = True
-                        break
-                    stack.append(nxt)
-        self._probe[set_id] = hit
-        return hit
+        if set_id not in self._probe:
+            after_end = self._by_id[self.extend_id(set_id, END)]
+            self._probe[set_id] = any(
+                cfg[0] in self.m.accepting for cfg in self._lambda_reach(after_end)
+            )
+        return self._probe[set_id]
 
     def accepts(self, w):
         sid = self.start_id
@@ -277,11 +274,47 @@ def accepted_words(m, max_len, budget=None):
     return Enumeration(sort_words(out), complete, sim.expansions)
 
 
+# the bench tracer wraps accepted_words through this registered entry
 def _enumerate_machine(m, max_len, budget):
     return accepted_words(m, max_len, budget)
 
 
 register_enumerator(CounterMachine, _enumerate_machine)
+
+
+def _add(trans, q_from, key, pat, q_to, moves):
+    trans.setdefault((q_from, key, pat), []).append((q_to, moves))
+
+
+def _chain(trans, states, pats, base, prefix, vec, q_entry, q_exit, bail=None):
+    """λ-chain from q_entry to q_exit subtracting vec one unit step at a time.
+
+    Step t takes one off counter ``base + i`` for every i with
+    ``vec[i] >= t``; its intermediate state ``prefix + (t,)`` joins
+    ``states``.  Under a zero-pattern in which a counter that the step
+    decrements is zero, the step goes to ``bail`` with no counter move,
+    or has no move when ``bail`` is None.  A zero vector is one plain
+    λ-link.
+    """
+    zero = (0,) * len(pats[0])
+    height = max(vec)
+    if not height:
+        for pat in pats:
+            _add(trans, q_entry, None, pat, q_exit, zero)
+        return
+    cur = q_entry
+    for t in range(1, height + 1):
+        nxt = q_exit if t == height else prefix + (t,)
+        if t < height:
+            states.append(nxt)
+        down = [base + i for i, e in enumerate(vec) if e >= t]
+        moves = tuple(-1 if j in down else 0 for j in range(len(zero)))
+        for pat in pats:
+            if all(pat[j] for j in down):
+                _add(trans, cur, None, pat, nxt, moves)
+            elif bail is not None:
+                _add(trans, cur, None, pat, bail, zero)
+        cur = nxt
 
 
 def from_semilinear(q, alphabet):
@@ -298,64 +331,29 @@ def from_semilinear(q, alphabet):
         raise PreconditionError("set dimension must match alphabet size")
     states = [("start",), ("acc",)]
     trans = {}
-    all_pats = list(product((0, 1), repeat=n))
-    zero_pat = (0,) * n
-
-    def add(q_from, key, pat, q_to, moves):
-        trans.setdefault((q_from, key, pat), []).append((q_to, moves))
-
-    def sub_chain(prefix, vec, q_entry, q_exit):
-        """λ-chain subtracting a vector one unit-step at a time."""
-        height = max(vec) if vec else 0
-        if height == 0:
-            return q_entry if q_entry == q_exit else _link(q_entry, q_exit)
-        cur = q_entry
-        for t in range(1, height + 1):
-            nxt = q_exit if t == height else prefix + (t,)
-            if nxt != q_exit:
-                states.append(nxt)
-            moves = tuple(-1 if vec[i] >= t else 0 for i in range(n))
-            for pat in all_pats:
-                if all(pat[i] == 1 or moves[i] == 0 for i in range(n)):
-                    add(cur, None, pat, nxt, moves)
-            cur = nxt
-        return q_exit
-
-    def _link(q_from, q_to):
-        for pat in all_pats:
-            add(q_from, None, pat, q_to, (0,) * n)
-        return q_to
+    pats = list(product((0, 1), repeat=n))
+    zero = (0,) * n
 
     for c, comp in enumerate(q.components):
         read = ("read", c)
         states.append(read)
-        add(("start",), None, zero_pat, read, (0,) * n)
+        _add(trans, ("start",), None, zero, read, zero)
         for i, a in enumerate(alphabet):
             mv = tuple(1 if j == i else 0 for j in range(n))
-            for pat in all_pats:
-                add(read, a, pat, read, mv)
+            for pat in pats:
+                _add(trans, read, a, pat, read, mv)
 
         fin = ("fin", c)
-        states.append(fin)
-        periods = comp.periods
-        if periods:
-            loops = []
-            for j in range(len(periods)):
-                loop = ("per", c, j)
-                states.append(loop)
-                loops.append(loop)
-            after_const = loops[0]
-        else:
-            after_const = fin
-        sub_chain(("const", c), comp.constant, read, after_const)
-        for j, p in enumerate(periods):
-            loop = loops[j]
-            nxt = loops[j + 1] if j + 1 < len(periods) else fin
-            _link(loop, nxt)
-            sub_chain(("rep", c, j), p, loop, loop)
-        add(fin, END, zero_pat, ("acc",), (0,) * n)
+        loops = [("per", c, j) for j in range(len(comp.periods))]
+        states += [fin] + loops
+        after = loops + [fin]    # the constant leads to after[0], loop j exits to after[j + 1]
+        _chain(trans, states, pats, 0, ("const", c), comp.constant, read, after[0])
+        for j, p in enumerate(comp.periods):
+            for pat in pats:
+                _add(trans, loops[j], None, pat, after[j + 1], zero)
+            _chain(trans, states, pats, 0, ("rep", c, j), p, loops[j], loops[j])
+        _add(trans, fin, END, zero, ("acc",), zero)
 
-    trans = {k: tuple(v) for k, v in trans.items()}
     return CounterMachine(n, states, ("start",), {("acc",)}, alphabet, trans)
 
 
@@ -386,7 +384,7 @@ def echelon_order(ls):
     return tuple(order), tuple(pivots)
 
 
-def dcm_for_bounded(spec, budget=None):
+def dcm_for_bounded(spec):
     """Deterministic machine for a distinct-letter Ginsburg spec whose
     components all carry echelon certificates.
 
@@ -415,99 +413,49 @@ def dcm_for_bounded(spec, budget=None):
         raise PreconditionError("counter bank too wide for pattern table")
     letters = tuple(w[0] for w in spec.words)
     alphabet = Alphabet(letters)
-    all_pats = list(product((0, 1), repeat=n))
+    pats = list(product((0, 1), repeat=n))
+    zero = (0,) * n
 
-    def bank(c, i):
-        return c * k + i
-
-    states = [("acc",), ("dead",)]
+    states = [("acc",), ("dead",)] + [("load", i) for i in range(k)]
     trans = {}
-
-    def add(q_from, key, pat, q_to, moves):
-        trans[(q_from, key, pat)] = ((q_to, moves),)
-
     for i in range(k):
-        states.append(("load", i))
-    for i in range(k):
-        src = ("load", i)
         for j in range(i, k):
-            mv = [0] * n
-            for c in range(C):
-                mv[bank(c, j)] = 1
-            for pat in all_pats:
-                add(src, letters[j], pat, ("load", j), tuple(mv))
+            mv = tuple(1 if x % k == j else 0 for x in range(n))
+            for pat in pats:
+                _add(trans, ("load", i), letters[j], pat, ("load", j), mv)
 
-    def verify_entry(c):
-        return ("ver", c) if c < C else ("dead",)
-
-    for c in range(C):
-        states.append(("ver", c))
-    bail = [verify_entry(c + 1) for c in range(C)]
+    # bank c is verified from verify[c]; a failing bank bails to verify[c + 1]
+    verify = [("ver", c) for c in range(C)] + [("dead",)]
+    states.extend(verify[:C])
 
     for c, comp in enumerate(comps):
         order, pivots = certs[c]
-        entry = ("ver", c)
-
-        def chain(prefix, vec, q_entry, q_exit, c=c, bail_to=None):
-            """Deterministic λ-chain subtracting vec from bank c; diverts
-            to bail_to on underflow."""
-            height = max(vec) if vec else 0
-            cur = q_entry
-            if height == 0:
-                for pat in all_pats:
-                    add(cur, None, pat, q_exit, (0,) * n)
-                return
-            for t in range(1, height + 1):
-                nxt = q_exit if t == height else prefix + (t,)
-                if nxt != q_exit and nxt not in states:
-                    states.append(nxt)
-                mv = [0] * n
-                for i in range(k):
-                    if vec[i] >= t:
-                        mv[bank(c, i)] = -1
-                mv = tuple(mv)
-                for pat in all_pats:
-                    if all(pat[bank(c, i)] == 1 for i in range(k) if mv[bank(c, i)] < 0):
-                        add(cur, None, pat, nxt, mv)
-                    else:
-                        add(cur, None, pat, bail_to, (0,) * n)
-                cur = nxt
-
-        loop_states = []
-        for idx in range(len(order)):
-            s = ("vp", c, idx)
-            states.append(s)
-            loop_states.append(s)
+        bank = range(c * k, (c + 1) * k)
+        loops = [("vp", c, idx) for idx in range(len(order))]
         vfin = ("vfin", c)
-        states.append(vfin)
-
-        first = loop_states[0] if loop_states else vfin
-        chain(("vc", c), comp.constant, entry, first, bail_to=bail[c])
+        after = loops + [vfin]
+        states += after
+        _chain(trans, states, pats, c * k, ("vc", c), comp.constant, verify[c], after[0],
+               bail=verify[c + 1])
 
         for idx, j in enumerate(order):
-            loop = loop_states[idx]
-            nxt = loop_states[idx + 1] if idx + 1 < len(loop_states) else vfin
-            piv = pivots[idx]
             rep_entry = ("vr", c, idx)
             states.append(rep_entry)
-            for pat in all_pats:
-                if pat[bank(c, piv)] == 0:
-                    add(loop, None, pat, nxt, (0,) * n)
-                else:
-                    add(loop, None, pat, rep_entry, (0,) * n)
-            chain(("vrc", c, idx), comps[c].periods[j], rep_entry, loop, bail_to=bail[c])
+            for pat in pats:
+                nxt = rep_entry if pat[c * k + pivots[idx]] else after[idx + 1]
+                _add(trans, loops[idx], None, pat, nxt, zero)
+            _chain(trans, states, pats, c * k, ("vrc", c, idx), comp.periods[j], rep_entry,
+                   loops[idx], bail=verify[c + 1])
 
         # the load states consumed END already, so acceptance is a λ-step
-        for pat in all_pats:
-            if all(pat[bank(c, i)] == 0 for i in range(k)):
-                add(vfin, None, pat, ("acc",), (0,) * n)
-            else:
-                add(vfin, None, pat, bail[c], (0,) * n)
+        for pat in pats:
+            done = not any(pat[x] for x in bank)
+            _add(trans, vfin, None, pat, ("acc",) if done else verify[c + 1], zero)
 
     # end-marker from load states starts verification of component 0
     for i in range(k):
-        for pat in all_pats:
-            add(("load", i), END, pat, verify_entry(0), (0,) * n)
+        for pat in pats:
+            _add(trans, ("load", i), END, pat, verify[0], zero)
 
     return CounterMachine(n, states, ("load", 0), {("acc",)}, alphabet, trans)
 
@@ -541,15 +489,11 @@ def decide_bounded(s1, s2, rel, injectivity_check_len=12):
         raise PreconditionError("specs must share the same word tuple")
     notes = ""
     if not s1.is_distinct_letter():
-        seen = {}
-        for t in _tuples_within_length(s1.words, injectivity_check_len):
-            w = phi(s1.words, t)
-            if w in seen and seen[w] != t:
-                raise PreconditionError(
-                    "injectivity assertion failed: %r has decompositions %r and %r"
-                    % (w, seen[w], t)
-                )
-            seen[w] = t
+        hit = _phi_collision(s1.words, _tuples_within_length(s1.words, injectivity_check_len))
+        if hit:
+            raise PreconditionError(
+                "injectivity assertion failed: %r has decompositions %r and %r" % hit
+            )
         notes = "phi-injectivity validated to length %d" % injectivity_check_len
     holds, vec = vecautomata.compare(s1.q1, s2.q1, rel)
     witness = phi(s1.words, vec) if vec is not None else None

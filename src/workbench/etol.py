@@ -49,7 +49,9 @@ from .foundation import (
     _budgeted,
     register_enumerator,
 )
-from .semilinear import phi, member, validate_semi_simple, _tuples_within_length
+from .semilinear import (
+    _phi_collision, _tuples_within_length, member, phi, validate_semi_simple,
+)
 
 INF = float("inf")
 
@@ -644,6 +646,40 @@ def from_reduced(g):
     return EtolSystem(all_v, g.sigma, bar[g.axiom], new_tables, reduced=False)
 
 
+def _blocks(q, words, used, name):
+    """The block subsystems shared by both bounded constructions.
+
+    Per linear component c with r > 0 periods, block i gets the markers
+    ``<name>c_i_j`` for j = 1..r (fresh against ``used``).  Returns
+    ``(seeds, rules, markers)``: ``seeds`` holds one seed per component,
+    ``words[i]`` to the constant's power followed by the block's first
+    marker for every block, or phi of the constant when c has no
+    periods; ``rules`` holds one ``(pump, advance)`` pair of
+    productions per (component, period), where pump appends
+    ``words[i]`` to the period's power before each marker and advance
+    moves each marker to the next period or erases it after the last;
+    ``markers`` lists the marker names in creation order.
+    """
+    seeds, rules, markers = [], [], []
+    for c, comp in enumerate(q.components):
+        r = len(comp.periods)
+        if not r:
+            seeds.append(phi(words, comp.constant))
+            continue
+        x = [[_fresh("%s%d_%d_%d" % (name, c, i + 1, j), used) for j in range(1, r + 1)]
+             for i in range(len(words))]
+        markers.extend(m for row in x for m in row)
+        seed = []
+        for w, e, row in zip(words, comp.constant, x):
+            seed.extend(w * e + (row[0],))
+        seeds.append(tuple(seed))
+        for j, period in enumerate(comp.periods):
+            pump = {row[j]: (w * e + (row[j],),) for w, e, row in zip(words, period, x)}
+            advance = {row[j]: ((row[j + 1],) if j + 1 < r else (),) for row in x}
+            rules.append((pump, advance))
+    return seeds, rules, markers
+
+
 def semilinear_to_etol(q, letters):
     """Two-table plain system of index k generating {a1^l1 .. ak^lk : l ∈ Q}.
 
@@ -660,38 +696,16 @@ def semilinear_to_etol(q, letters):
     used = set(letters)
     S = _fresh("S", used)
     Z = _fresh("Z", used)
-    pump = {}      # table 0
-    advance = {}   # table 1
-    pump[S] = ((Z,),)
-    seeds = []
-    xsym = {}
-    for c, comp in enumerate(q.components):
-        r = len(comp.periods)
-        if r == 0:
-            seeds.append(phi(tuple((l,) for l in letters), comp.constant))
-            continue
-        for i in range(k):
-            for j in range(1, r + 1):
-                xsym[(c, i, j)] = _fresh("X%d_%d_%d" % (c, i + 1, j), used)
-        seed = []
-        for i in range(k):
-            seed.extend((letters[i],) * comp.constant[i])
-            seed.append(xsym[(c, i, 1)])
-        seeds.append(tuple(seed))
-        for i in range(k):
-            for j in range(1, r + 1):
-                x = xsym[(c, i, j)]
-                gain = comp.periods[j - 1][i]
-                pump[x] = (((letters[i],) * gain) + (x,),)
-                if j < r:
-                    advance[x] = ((xsym[(c, i, j + 1)],),)
-                else:
-                    advance[x] = ((),)
-    advance[S] = tuple(seeds)
-    for a in list(letters) + [Z]:
+    seeds, rules, markers = _blocks(q, tuple((l,) for l in letters), used, "X")
+    pump = {S: ((Z,),)}          # table 0
+    advance = {S: tuple(seeds)}  # table 1
+    for period_pump, period_advance in rules:
+        pump.update(period_pump)
+        advance.update(period_advance)
+    for a in letters + (Z,):
         pump[a] = ((a,),)
         advance[a] = ((a,),)
-    v = tuple(letters) + (S, Z) + tuple(xsym[key] for key in sorted(xsym))
+    v = letters + (S, Z) + tuple(markers)
     return EtolSystem(v, letters, S, [pump, advance], reduced=False)
 
 
@@ -715,51 +729,16 @@ def unambiguous_bounded_etol(words, q, box=8, injectivity_len=14):
     report = validate_semi_simple(q, box)
     if not report.validated:
         raise PreconditionError("semi-simple validation failed: %s" % report)
-    seen = {}
-    for t in _tuples_within_length(words, injectivity_len):
-        if not member(q, t):
-            continue
-        w = phi(words, t)
-        if w in seen and seen[w] != t:
-            raise PreconditionError(
-                "phi not injective on Q: %r from %r and %r" % (w, seen[w], t)
-            )
-        seen[w] = t
+    in_q = (t for t in _tuples_within_length(words, injectivity_len) if member(q, t))
+    hit = _phi_collision(words, in_q)
+    if hit:
+        raise PreconditionError("phi not injective on Q: %r from %r and %r" % hit)
 
     sigma = sorted({s for w in words for s in w})
     used = set(sigma)
     S = _fresh("S", used)
-    bsym = {}
-    for c, comp in enumerate(q.components):
-        for s in range(k):
-            for j in range(1, len(comp.periods) + 1):
-                bsym[(c, s, j)] = _fresh("B%d_%d_%d" % (c, s + 1, j), used)
-
-    tables = []
-    init = {}
-    seeds = []
-    for c, comp in enumerate(q.components):
-        r = len(comp.periods)
-        if r == 0:
-            seeds.append(phi(words, comp.constant))
-            continue
-        seed = []
-        for s in range(k):
-            seed.extend(words[s] * comp.constant[s])
-            seed.append(bsym[(c, s, 1)])
-        seeds.append(tuple(seed))
-    init[S] = tuple(seeds)
-    tables.append(init)
-    for c, comp in enumerate(q.components):
-        r = len(comp.periods)
-        for j in range(1, r + 1):
-            pump = {}
-            adv = {}
-            for s in range(k):
-                x = bsym[(c, s, j)]
-                pump[x] = ((words[s] * comp.periods[j - 1][s]) + (x,),)
-                adv[x] = ((bsym[(c, s, j + 1)],),) if j < r else ((),)
-            tables.append(pump)
-            tables.append(adv)
-    v = (S,) + tuple(bsym[key] for key in sorted(bsym))
-    return EtolSystem(v, sigma, S, tables, reduced=True)
+    seeds, rules, markers = _blocks(q, words, used, "B")
+    tables = [{S: tuple(seeds)}]
+    for pump, advance in rules:
+        tables += [pump, advance]
+    return EtolSystem((S,) + tuple(markers), sigma, S, tables, reduced=True)

@@ -285,6 +285,19 @@ def _tuples_within_length(words, max_len):
     return rec(0, max_len)
 
 
+def _phi_collision(words, tuples):
+    """First (w, t, u) among the exponent tuples, in their order, with
+    phi(t) = phi(u) = w and t != u, t the earlier one; None when phi is
+    injective on them."""
+    seen = {}
+    for u in tuples:
+        w = phi(words, u)
+        t = seen.setdefault(w, u)
+        if t != u:
+            return w, t, u
+    return None
+
+
 def _enumerate_bounded(spec, max_len, budget):
     def word_of(t):
         if spec.kind in ("ginsburg", "ginsburg-parikh") and not member(spec.q1, t):

@@ -385,31 +385,25 @@ def from_semilinear_set(q):
 def compare(q1, q2, rel):
     """Decide equal/subset/disjoint on semilinear sets, with witness.
 
-    On a False verdict the witness is the vector with the shortest
-    accepted encoding demonstrating the discrepancy.
+    The relation holds when its one or two products (two differences
+    for equal) are empty.  On a False verdict the witness is the vector
+    with the shortest accepted encoding in the first nonempty product.
     """
     if rel not in ("equal", "subset", "disjoint"):
         raise ValueError("rel must be equal/subset/disjoint")
     if q1.dim != q2.dim:
         raise PreconditionError("dimension mismatch")
     m1, m2 = from_semilinear_set(q1), from_semilinear_set(q2)
-    if rel == "subset":
-        diff = combine(m1, m2, "difference")
-        if is_empty(diff):
-            return True, None
-        return False, shortest_accepted(diff)
-    if rel == "equal":
-        d12 = combine(m1, m2, "difference")
-        if not is_empty(d12):
-            return False, shortest_accepted(d12)
-        d21 = combine(m2, m1, "difference")
-        if not is_empty(d21):
-            return False, shortest_accepted(d21)
-        return True, None
-    inter = combine(m1, m2, "intersection")
-    if is_empty(inter):
-        return True, None
-    return False, shortest_accepted(inter)
+    products = {
+        "subset": [(m1, m2, "difference")],
+        "equal": [(m1, m2, "difference"), (m2, m1, "difference")],
+        "disjoint": [(m1, m2, "intersection")],
+    }[rel]
+    for a, b, op in products:
+        witness = shortest_accepted(combine(a, b, op))
+        if witness is not None:
+            return False, witness
+    return True, None
 
 
 def dump_tsv(m):

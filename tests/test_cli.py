@@ -106,6 +106,38 @@ def test_series_parikh_without_terminals_is_precondition_error(tmp_path, capsys)
     assert capsys.readouterr().err.startswith("error: parikh mode needs at least one terminal")
 
 
+@pytest.mark.parametrize("mode", ["length", "parikh"])
+def test_series_negative_count_is_precondition_error(tmp_path, capsys, mode):
+    # length mode failed later in fit_recurrence ("need at least 16
+    # terms, got 0"); parikh mode printed no rows and exited 0
+    path = _write(tmp_path, "copy.json", copy_language_matrix())
+    assert cli.main(["series", path, "--mode", mode, "--count", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --count must be >= 0\n"
+
+
+def test_unambiguous_etol_phi_collision_message(tmp_path, capsys):
+    # semi-simple, but phi(0, 1) = phi(2, 0) = aa for the words (a, aa)
+    spec = BoundedSpec((word("a"), word("aa")), "ginsburg",
+                       q1=semilinear(linear((2, 0)), linear((0, 1))))
+    path = _write(tmp_path, "spec.json", spec)
+    assert cli.main(["convert", path, "--to", "unambiguous-etol"]) == 2
+    out, err = capsys.readouterr()
+    assert "oracle-equal" not in out
+    assert err == "error: phi not injective on Q: ('a', 'a') from (0, 1) and (2, 0)\n"
+
+
+def test_decide_phi_collision_message(tmp_path, capsys):
+    spec = BoundedSpec((word("a"), word("a")), "ginsburg", q1=semilinear(linear((0, 0), (1, 1))))
+    path = _write(tmp_path, "spec.json", spec)
+    assert cli.main(["decide", path, path, "--relation", "equal"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: injectivity assertion failed: ('a',) has decompositions "
+                   "(0, 1) and (1, 0)\n")
+
+
 def test_regex_document_round_trip(tmp_path, capsys):
     text = cli.dump_document(RegexLanguage("(ab)*", Alphabet("ab")))
     assert cli.dump_document(cli.parse_document(text)) == text

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from workbench import fixtures
+from workbench import counter, fixtures
 from workbench.commutative import RegularWitness
 from workbench.foundation import (
     Alphabet,
@@ -19,6 +19,7 @@ from workbench.foundation import (
     sort_words,
     word,
 )
+from workbench.semilinear import BoundedSpec, linear, semilinear
 
 AB = Alphabet("ab")
 
@@ -133,9 +134,13 @@ def test_regex_rejects_multi_character_symbols():
         RegexLanguage("a(bc)*", Alphabet(["a", "bc"]))
 
 
+DIAG = semilinear(linear((0, 0), (1, 1)))
+
 # One fixture per budgeted enumerator, with the number of nodes its
 # frontier draws: sentential forms (ETOL, matrix), (state, word) pairs
-# (witness), Σ^{<=n} (regex), exponent tuples (bounded spec).
+# (witness), Σ^{<=n} (regex), exponent tuples (bounded spec); for the
+# counter machines, the simulator's charged expansions, which count the
+# acceptance probe's λ-walk only up to its first accepting state.
 FRONTIER_PINS = [
     ("etol", fixtures.copy_language_reduced_etol, 7, 31, 15),
     ("matrix", fixtures.copy_language_matrix, 7, 22, 14),
@@ -145,6 +150,9 @@ FRONTIER_PINS = [
     ), 7, 24, 6),
     ("regex", lambda: RegexLanguage("(ab)*", AB), 4, 31, 3),
     ("bounded", lambda: fixtures.L3_SPEC, 16, 17, 2),
+    ("ncm", lambda: counter.from_semilinear(DIAG, AB), 6, 438, 29),
+    ("dcm", lambda: counter.dcm_for_bounded(
+        BoundedSpec((word("a"), word("b")), "ginsburg", q1=DIAG)), 8, 437, 5),
 ]
 
 
