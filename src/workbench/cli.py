@@ -406,8 +406,6 @@ def cmd_series(args):
     obj = load_object(args.object)
     if not isinstance(obj, mx.MatrixGrammar):
         raise PreconditionError("series expects a matrix_grammar object")
-    if args.count < 0:
-        raise PreconditionError("--count must be >= 0")
     grammar, cert = mx.normal_form(obj, args.index)
     note = ("grammar already in normal form" if cert.already_normal
             else "normal form auto-invoked (already_normal=False)")
@@ -582,6 +580,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for name in ("max_len", "check_len", "count", "audit_len", "verify_len"):
+            if getattr(args, name, 0) < 0:
+                raise PreconditionError("--%s must be >= 0" % name.replace("_", "-"))
         return args.fn(args)
     except PreconditionError as e:
         print("error: %s" % e, file=sys.stderr)

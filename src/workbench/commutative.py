@@ -2,6 +2,11 @@
 regularizers, the single-table deterministic pipeline, and the
 Parikh-multiset verifier used to check every witness.
 
+`build_prefix_code` owns the padded-output conditions: both regularizers
+call it for their automatic codes and pass its precondition errors on.
+The matrix and EDOL witnesses are one Szilard automaton relabelled edge
+by edge (`_szilard_witness`), with code words or theta images.
+
 The regularizers do not decide unambiguity; they audit it to a bounded
 length and record the audit in the witness provenance.  Their witnesses
 are word-labeled finite automata whose languages are commutatively
@@ -45,12 +50,15 @@ def is_prefix_code(words):
 def build_prefix_code(vs):
     """Prefix code (w1,..,wm) with wi a rearrangement of vi.
 
-    Preconditions: every |vi| >= m, and per letter at most one vi is a
-    power of that letter.  Follows the inductive argument: handle the
-    longest word last; letter powers pass through unchanged; otherwise
-    rearrange a length-m factor with two distinct letters so the result
-    differs from every length-m prefix already in the code, choosing the
-    lexicographically smallest such rearrangement.
+    The padded-output conditions are checked here, each raising
+    PreconditionError: no vi is shorter than the list (|vi| >= m), and
+    no two vi are powers of the same letter.
+
+    Follows the inductive argument: handle the longest word last; letter
+    powers pass through unchanged; otherwise rearrange a length-m factor
+    with two distinct letters so the result differs from every length-m
+    prefix already in the code, choosing the lexicographically smallest
+    such rearrangement.
     """
     vs = [tuple(v) for v in vs]
     m = len(vs)
@@ -61,14 +69,12 @@ def build_prefix_code(vs):
             raise PreconditionError(
                 "word %r shorter than the list length %d" % ("".join(v), m)
             )
-    powers = {}
+    powers = set()
     for v in vs:
-        letters = set(v)
-        if len(letters) == 1:
-            a = v[0]
-            powers[a] = powers.get(a, 0) + 1
-    if any(c > 1 for c in powers.values()):
-        raise PreconditionError("two words are powers of the same letter")
+        if len(set(v)) == 1:
+            if v[0] in powers:
+                raise PreconditionError("two words are powers of the letter %r" % v[0])
+            powers.add(v[0])
 
     def construct(items):
         if len(items) == 1:
@@ -127,37 +133,6 @@ def is_code_bounded(words, factor=4):
                 return False
         frontier = nxt
     return True
-
-
-@dataclass(frozen=True)
-class Cor2Verdict:
-    """Syntactic check: every matrix emits at least |M| terminals, and per
-    letter at most one matrix's terminal projection is a power of it."""
-
-    condition1: bool
-    condition2: bool
-    details: str = ""
-
-    def __bool__(self):
-        return self.condition1 and self.condition2
-
-
-def check_cor2_conditions(g):
-    th = mx.theta(g)
-    n = len(g.matrices)
-    bad1 = [i for i, t in enumerate(th) if len(t) < n]
-    per_letter = {}
-    for i, t in enumerate(th):
-        if len(set(t)) <= 1:  # includes the empty projection
-            key = t[0] if t else ""
-            per_letter.setdefault(key, []).append(i)
-    bad2 = {a: ms for a, ms in per_letter.items() if len(ms) > 1}
-    details = []
-    if bad1:
-        details.append("matrices %r emit fewer than %d terminals" % (bad1, n))
-    if bad2:
-        details.append("single-letter projections collide: %r" % (bad2,))
-    return Cor2Verdict(not bad1, not bad2, "; ".join(details))
 
 
 @dataclass
@@ -264,30 +239,34 @@ def _verified(wit, g, verify_len):
     return wit
 
 
+def _szilard_witness(dfa, labels, provenance):
+    """The Szilard automaton as a witness, each edge relabelled from its
+    matrix index mi to the word labels[mi]."""
+    return RegularWitness(
+        states=tuple(range(len(dfa.states))),
+        initial=dfa.initial,
+        accepting=dfa.accepting,
+        edges=tuple((q, tuple(labels[mi]), t) for (q, mi), t in dfa.transitions.items()),
+        provenance=provenance,
+    )
+
+
 def regularize_matrix(g, k, code_words=None, audit_len=8, verify_len=12):
     """Witness for Prop-style matrix regularization: relabel the Szilard
     automaton edges by a code commutatively matching theta.
 
-    ``code_words`` maps matrix index to its code word; omitted, the
-    cor2-style conditions are checked and a prefix code is built from
-    the theta images."""
+    ``code_words`` maps matrix index to its code word; omitted, a prefix
+    code is built from the theta images (`build_prefix_code`, which
+    checks the padded-output conditions)."""
     dfa = mx.szilard_dfa(g, k)  # raises unless the grammar is normal-form
     th = mx.theta(g)
     audited = _audit_unambiguous(g, audit_len, mx.count_derivations, "derivations")
     if code_words is None:
-        verdict = check_cor2_conditions(g)
-        if not verdict:
-            raise PreconditionError(
-                "automatic code assignment needs the padded-output conditions: %s"
-                % verdict.details
-            )
         code_words = build_prefix_code(th)
-        prefix = True
     else:
         code_words = [tuple(w) for w in code_words]
         if len(code_words) != len(g.matrices):
             raise PreconditionError("one code word per matrix required")
-        prefix = is_prefix_code(code_words)
     for i, (cw, t) in enumerate(zip(code_words, th)):
         if not comm_equivalent(cw, t):
             raise PreconditionError(
@@ -295,22 +274,12 @@ def regularize_matrix(g, k, code_words=None, audit_len=8, verify_len=12):
             )
     if not is_code_bounded(code_words):
         raise PreconditionError("assigned words do not form a code")
-
-    edges = tuple(
-        (q, tuple(code_words[mi]), t) for (q, mi), t in dfa.transitions.items()
-    )
-    wit = RegularWitness(
-        states=tuple(range(len(dfa.states))),
-        initial=dfa.initial,
-        accepting=dfa.accepting,
-        edges=edges,
-        provenance={
-            "construction": "matrix-szilard-code",
-            "audit_len": audit_len,
-            "audited_words": audited,
-            "prefix_code": prefix,
-        },
-    )
+    wit = _szilard_witness(dfa, code_words, {
+        "construction": "matrix-szilard-code",
+        "audit_len": audit_len,
+        "audited_words": audited,
+        "prefix_code": is_prefix_code(code_words),
+    })
     return _verified(wit, g, verify_len)
 
 
@@ -336,35 +305,19 @@ def regularize_etol(g, k, codes=None, audit_len=8, verify_len=12):
     """Right-linear witness for a reduced unambiguous finite-index system
     with per-nonterminal prefix codes matching the terminal projections.
 
-    Omitting ``codes`` checks the padded-production conditions (each rhs
-    emits at least |R_X| terminals; per letter at most one single-letter
-    projection) and builds the codes automatically."""
+    Omitting ``codes`` builds each Y_X from the terminal projections of
+    R_X with `build_prefix_code`, which checks the padded-production
+    conditions."""
     if not g.reduced:
         raise PreconditionError("regularize_etol expects a reduced system")
     profiles = mx._etol_profiles(g, k)  # raises IndexExceeded past k
     audited = _audit_unambiguous(g, audit_len, etol_mod.count_trees, "trees")
     rhs_map = right_hand_sides(g)
     if codes is None:
-        codes = {}
-        for x, rhss in rhs_map.items():
-            if not rhss:
-                continue
-            projections = [_terminal_projection(g, r) for r in rhss]
-            if any(len(p) < len(rhss) for p in projections):
-                raise PreconditionError(
-                    "automatic codes need every %r-production to emit >= %d terminals"
-                    % (x, len(rhss))
-                )
-            singles = {}
-            for p in projections:
-                if len(set(p)) <= 1:
-                    key = p[0] if p else ""
-                    singles[key] = singles.get(key, 0) + 1
-            if any(c > 1 for c in singles.values()):
-                raise PreconditionError(
-                    "automatic codes need distinct single-letter projections for %r" % (x,)
-                )
-            codes[x] = tuple(build_prefix_code(projections))
+        codes = {
+            x: tuple(build_prefix_code([_terminal_projection(g, r) for r in rhss]))
+            for x, rhss in rhs_map.items() if rhss
+        }
     for x, rhss in rhs_map.items():
         if not rhss:
             continue
@@ -382,7 +335,7 @@ def regularize_etol(g, k, codes=None, audit_len=8, verify_len=12):
 
     order = sorted(profiles)
     index = {x: i for i, x in enumerate(order)}
-    edges = []
+    edges = {}   # an insertion-ordered set
     for x in order:
         combos = profiles[x]
         for ti in sorted(combos):
@@ -391,9 +344,7 @@ def regularize_etol(g, k, codes=None, audit_len=8, verify_len=12):
                 for i, rhs in enumerate(choice):
                     pos = rhs_map[x[i]].index(rhs)
                     u.extend(codes[x[i]][pos])
-                edge = (index[x], tuple(u), index.get(newprof))
-                if edge[2] is not None and edge not in edges:
-                    edges.append(edge)
+                edges[index[x], tuple(u), index[newprof]] = None
     wit = RegularWitness(
         states=tuple(range(len(order))),
         initial=index[(g.axiom,)],
@@ -446,38 +397,28 @@ def edol_analyze(g, bound, hard_cap=20000, max_form_len=4096):
     if g.reduced:
         raise PreconditionError("the sequence view uses plain systems")
     gamma = [(g.axiom,)]
-    for _ in range(bound):
-        if len(gamma[-1]) > max_form_len:
-            break
-        gamma.append(_unique_successor(g, gamma[-1]))
+    first = {tuple(sorted(gamma[0])): 0}   # Parikh multiset -> first index
     repeat = None
-    ambiguous = False
-    for i in range(1, len(gamma)):
-        for j in range(i):
-            if comm_equivalent(gamma[j], gamma[i]):
-                repeat = (j, i)
-                ambiguous = gamma[j] == gamma[i]
-                break
-        if repeat:
-            break
+    while repeat is None and len(gamma) <= bound and len(gamma[-1]) <= max_form_len:
+        gamma.append(_unique_successor(g, gamma[-1]))
+        i = len(gamma) - 1
+        j = first.setdefault(tuple(sorted(gamma[i])), i)
+        if j < i:
+            repeat = (j, i)
     if repeat is None:
         return EdolReport("no-equivalence", False, None, None, len(gamma) - 1)
-    seen = {gamma[0]: 0}
-    cur = gamma[0]
-    lang = set()
-    steps = 0
-    while True:
-        if g.is_word(cur):
-            lang.add(cur)
-        nxt = _unique_successor(g, cur)
-        steps += 1
-        if steps > hard_cap:
-            raise PreconditionError("no exact repeat within the hard cap")
-        if nxt in seen:
-            break
-        seen[nxt] = steps
-        cur = nxt
-    return EdolReport("finite", ambiguous, repeat, tuple(sort_words(lang)), steps)
+    j, i = repeat
+    ambiguous = gamma[j] == gamma[i]
+    # gamma[:i] has no commutative repeat, so its forms are distinct; the
+    # first exact repeat is at some s >= i, and s past hard_cap raises
+    seen = set(gamma[:-1])
+    while gamma[-1] not in seen and len(gamma) <= hard_cap + 1:
+        seen.add(gamma[-1])
+        gamma.append(_unique_successor(g, gamma[-1]))
+    if len(gamma) > hard_cap + 1:
+        raise PreconditionError("no exact repeat within the hard cap")
+    lang = {w for w in gamma[:-1] if g.is_word(w)}
+    return EdolReport("finite", ambiguous, repeat, tuple(sort_words(lang)), len(gamma) - 1)
 
 
 def edol_regularize(g, k, analyze_bound=24, audit_len=10, verify_len=15):
@@ -516,17 +457,9 @@ def edol_regularize(g, k, analyze_bound=24, audit_len=10, verify_len=15):
     reduced = etol_mod.to_reduced(g)
     grammar = mx.reduced_etol_to_matrix(reduced, max(k, 1) + 1)
     dfa = mx.szilard_dfa(grammar, max(k, 1) + 2)
-    th = mx.theta(grammar)
-    edges = tuple((q, th[mi], t) for (q, mi), t in dfa.transitions.items())
-    wit = RegularWitness(
-        states=tuple(range(len(dfa.states))),
-        initial=dfa.initial,
-        accepting=dfa.accepting,
-        edges=edges,
-        provenance={
-            "construction": "edol-theta-szilard",
-            "index_audit_len": audit_len,
-            "analyze_bound": analyze_bound,
-        },
-    )
+    wit = _szilard_witness(dfa, mx.theta(grammar), {
+        "construction": "edol-theta-szilard",
+        "index_audit_len": audit_len,
+        "analyze_bound": analyze_bound,
+    })
     return _verified(wit, g, verify_len)

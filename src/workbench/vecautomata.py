@@ -317,19 +317,7 @@ def complement(m):
 
 
 def is_empty(m):
-    alphabet = digit_tuples(m.tracks)
-    reach = {m.initial}
-    stack = [m.initial]
-    while stack:
-        q = stack.pop()
-        if q in m.accepting:
-            return False
-        for d in alphabet:
-            t = m.transitions.get((q, d))
-            if t is not None and t not in reach:
-                reach.add(t)
-                stack.append(t)
-    return True
+    return shortest_accepted(m) is None
 
 
 def shortest_accepted(m):

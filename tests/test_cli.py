@@ -300,6 +300,7 @@ EXIT_CODES = [
     (["convert", "aba", "--to", "dcm"], 2),
     (["--steps", "5", "convert", "copy", "--to", "normal-form", "--index", "2",
       "--check-len", "9"], 3),
+    (["convert", "copy", "--to", "reduced-etol", "--check-len", "-1"], 2),
     # decide
     (["decide", "anbn", "anbn", "--relation", "subset"], 0),
     (["decide", "anbn", "anbn", "--relation", "disjoint"], 1),
@@ -319,6 +320,7 @@ EXIT_CODES = [
     (["--steps", "5", "audit", "copy", "--kind", "ambiguity", "--max-len", "9"], 3),
     # regularize
     (["regularize", "abn", "--index", "1"], 0),
+    (["regularize", "abn", "--index", "1", "--verify-len", "-1"], 2),
     (["regularize", "copy"], 2),
     (["regularize", "semi"], 2),
 ]

@@ -79,21 +79,19 @@ def aSb_grammar():
     )
 
 
-def test_check_cor2_conditions():
-    good = aSb_grammar()
-    assert cr.check_cor2_conditions(good)
+def test_regularize_matrix_rejects_unpadded_outputs():
     lam = mx.MatrixGrammar(("S", "A"), ("a",), "S", [
         (("S", ("A",)),),          # theta = λ: fewer than |M| terminals
         (("A", ("a", "a")),),
     ])
-    v = cr.check_cor2_conditions(lam)
-    assert not v.condition1
+    with pytest.raises(PreconditionError, match="^word '' shorter than the list length 2$"):
+        cr.regularize_matrix(lam, 2)
     two_powers = mx.MatrixGrammar(("S", "A"), ("a", "b"), "S", [
         (("S", ("a", "a", "A")),),
         (("A", ("a", "a")),),
     ])
-    v = cr.check_cor2_conditions(two_powers)
-    assert not v.condition2
+    with pytest.raises(PreconditionError, match="^two words are powers of the letter 'a'$"):
+        cr.regularize_matrix(two_powers, 2)
 
 
 def test_regularize_matrix_automatic_code():
@@ -170,6 +168,15 @@ def test_regularize_etol_rejects_thin_productions():
         cr.regularize_etol(g, 1)
 
 
+def test_regularize_etol_rejects_two_letter_powers():
+    g = etol.EtolSystem(
+        v=("S",), sigma=("a",), axiom="S",
+        tables=[{"S": [word("aaS"), word("aa")]}], reduced=True,
+    )
+    with pytest.raises(PreconditionError, match="^two words are powers of the letter 'a'$"):
+        cr.regularize_etol(g, 1)
+
+
 def test_verify_comm_equivalence_basics():
     l1 = FiniteLanguage([word("ab")])
     l2 = FiniteLanguage([word("ba")])
@@ -192,6 +199,19 @@ def test_edol_analyze_constant():
     assert rep.kind == "finite"
     assert rep.ambiguous  # gamma_1 = gamma_2 exactly
     assert rep.language == (("a",),)
+
+
+def test_edol_analyze_continues_to_an_exact_repeat():
+    # gamma = S, ab, ba, ab: ab ~ ba at (1, 2), the exact repeat at step 3
+    g = etol.EtolSystem(
+        v=("S", "a", "b"),
+        sigma=("a", "b"),
+        axiom="S",
+        tables=[{"S": [word("ab")], "a": [("b",)], "b": [("a",)]}],
+        reduced=False,
+    )
+    rep = cr.edol_analyze(g, 10)
+    assert rep == cr.EdolReport("finite", False, (1, 2), (word("ab"), word("ba")), 3)
 
 
 def test_edol_analyze_doubling_no_equivalence():
