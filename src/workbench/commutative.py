@@ -108,30 +108,38 @@ def build_prefix_code(vs):
     return out
 
 
-def is_code_bounded(words, factor=4):
-    """Unique-factorization check on all concatenations up to a length
-    bound; exact for prefix sets, bounded evidence otherwise."""
+def is_code_bounded(words):
+    """True iff every concatenation of the words factors uniquely.
+
+    The Sardinas-Patterson test: a dangling suffix is what is left over
+    when one factorization runs past another (s with u s = c, or with
+    c s = u, for a code word c).  The words form a code iff no dangling
+    suffix reachable from two distinct code words is itself a code word.
+    Every dangling suffix is a suffix of a code word, so the walk is
+    polynomial in the total length.
+    """
     ws = [tuple(w) for w in words]
-    if any(not w for w in ws) or len(set(ws)) != len(ws):
+    code = set(ws)
+    if any(not w for w in ws) or len(code) != len(ws):
         return False
-    if is_prefix_code(ws):
-        return True
-    bound = factor * max(len(w) for w in ws)
-    counts = {(): 1}
-    frontier = {(): 1}
-    while frontier:
-        nxt = {}
-        for s, c in frontier.items():
-            for w in ws:
-                t = s + w
-                if len(t) > bound:
-                    continue
-                nxt[t] = nxt.get(t, 0) + c
-        for t, c in nxt.items():
-            counts[t] = counts.get(t, 0) + c
-            if counts[t] > 1:
-                return False
-        frontier = nxt
+
+    def dangling(u):
+        for c in code:
+            if c != u and c[:len(u)] == u:
+                yield c[len(u):]
+            elif len(u) > len(c) and u[:len(c)] == c:
+                yield u[len(c):]
+
+    seen = {s for u in code for s in dangling(u)}
+    work = list(seen)
+    while work:
+        s = work.pop()
+        if s in code:
+            return False
+        for t in dangling(s):
+            if t not in seen:
+                seen.add(t)
+                work.append(t)
     return True
 
 

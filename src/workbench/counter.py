@@ -36,10 +36,12 @@ from .foundation import (
     DEFAULT_BUDGET,
     Enumeration,
     PreconditionError,
+    decompositions,
     register_enumerator,
+    show_word,
     sort_words,
 )
-from .semilinear import _phi_collision, _tuples_within_length, phi
+from .semilinear import _phi_collision, _tuples_within_length, member, phi
 from . import vecautomata
 
 END = "<end>"   # right end-marker pseudo-symbol; never part of an input alphabet
@@ -479,7 +481,9 @@ def decide_bounded(s1, s2, rel, injectivity_check_len=12):
     Both specs must share one word tuple.  With distinct letters the
     block map is injective outright; otherwise injectivity is validated
     up to the check length by searching for two exponent tuples with the
-    same image.  The decision reduces to the vector-automata comparison
+    same image, and an equal/subset witness word is checked over all its
+    decompositions: one that lies in both languages proves phi is not
+    injective.  The decision reduces to the vector-automata comparison
     of the two semilinear sets; a vector witness maps through phi to a
     witness word.
     """
@@ -497,4 +501,13 @@ def decide_bounded(s1, s2, rel, injectivity_check_len=12):
         notes = "phi-injectivity validated to length %d" % injectivity_check_len
     holds, vec = vecautomata.compare(s1.q1, s2.q1, rel)
     witness = phi(s1.words, vec) if vec is not None else None
+    if witness is not None and rel != "disjoint" and not s1.is_distinct_letter():
+        decs = sorted(decompositions(witness, s1.words))
+        t1 = next((t for t in decs if member(s1.q1, t)), None)
+        t2 = next((t for t in decs if member(s2.q1, t)), None)
+        if t1 is not None and t2 is not None:
+            raise PreconditionError(
+                "injectivity assertion failed: witness %s has decompositions %r in Q1 "
+                "and %r in Q2" % (show_word(witness), t1, t2)
+            )
     return Verdict(rel, holds, witness, notes)

@@ -50,8 +50,9 @@ from .foundation import (
     register_enumerator,
 )
 from .semilinear import (
-    _phi_collision, _tuples_within_length, member, phi, validate_semi_simple,
+    SemilinearSet, _phi_collision, _tuples_within_length, is_simple, member, phi,
 )
+from . import vecautomata
 
 INF = float("inf")
 
@@ -709,11 +710,28 @@ def semilinear_to_etol(q, letters):
     return EtolSystem(v, letters, S, [pump, advance], reduced=False)
 
 
-def unambiguous_bounded_etol(words, q, box=8, injectivity_len=14):
+def _semi_simple_failure(q):
+    """Why Q is not semi-simple, or None when it is: each component has
+    linearly independent periods and no two components meet."""
+    comps = q.components
+    for i, c in enumerate(comps):
+        if not is_simple(c):
+            return "component %d has dependent periods" % i
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            disjoint, v = vecautomata.compare(
+                SemilinearSet([comps[i]]), SemilinearSet([comps[j]]), "disjoint"
+            )
+            if not disjoint:
+                return "components %d and %d meet at %r" % (i, j, v)
+    return None
+
+
+def unambiguous_bounded_etol(words, q, injectivity_len=14):
     """Reduced finite-index system generating phi(Q) with one derivation
     tree per word.
 
-    Requires a semi-simple Q (validated on a box) and phi injective on Q
+    Requires a semi-simple Q (decided exactly) and phi injective on Q
     (validated by exponent-tuple collisions up to a length bound).  The
     system guesses the linear component, runs one branch per block, and
     emits constant-many then period-many copies of each block word, one
@@ -726,9 +744,9 @@ def unambiguous_bounded_etol(words, q, box=8, injectivity_len=14):
     k = len(words)
     if q.dim != k:
         raise PreconditionError("set dimension must equal block count")
-    report = validate_semi_simple(q, box)
-    if not report.validated:
-        raise PreconditionError("semi-simple validation failed: %s" % report)
+    failure = _semi_simple_failure(q)
+    if failure:
+        raise PreconditionError("Q is not semi-simple: %s" % failure)
     in_q = (t for t in _tuples_within_length(words, injectivity_len) if member(q, t))
     hit = _phi_collision(words, in_q)
     if hit:

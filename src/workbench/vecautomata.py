@@ -1,12 +1,10 @@
 """Decision backend for semilinear sets: synchronous multi-track base-2
-automata over N^k with boolean closure and comparison.
+automata over N^k, compared by one lazy subset product.
 
 Vectors are encoded least-significant-digit first, one bit per track per
-step, all tracks in lockstep.  Every automaton built here is kept
-*padding-closed*: appending all-zero digit tuples never changes
-acceptance, so the encoding length is never ambiguous.  Projection is
-the only step that can break this, and it repairs the property with a
-zero-digit closure pass before minimizing.
+step, all tracks in lockstep.  Every language here is *padding-closed*:
+appending all-zero digit tuples never changes acceptance, so the
+encoding length is never ambiguous.
 
 The solver core is the classic digit-by-digit construction for integer
 linear equations A·y = b: states are carry vectors, reading digit tuple
@@ -15,6 +13,28 @@ d from carry r requires (r_i - (A·d)_i) even on every row and moves to
 and the digits are bucketed by the parity vector of A·d, so carry r
 visits only the bucket keyed by r mod 2.  Inequalities are handled
 upstream by slack variables plus projection.
+
+A linear set c + N{p_1..p_r} is the solutions of x - Σ l_j·p_j = c with
+the multiplier tracks l erased.  Erasing tracks makes the carry
+automaton nondeterministic; a semilinear set is the disjoint union of
+its components' erased carry automata (``_ErasedNFA``).  A subset of
+its states accepts when it meets the *Z-set*: the states that reach an
+accepting carry along digits that are zero on every kept track.  That is
+the padding closure: a kept-track vector may need zero padding before
+the wider multipliers are done.
+
+``compare`` never determinizes a side in full.  It walks pairs
+(S1, S2) of subsets breadth first, computing subset successors lazily
+and caching them per side, and stops at the first pair that refutes the
+relation.  Breadth-first discovery in ``digit_tuples`` order reaches
+each pair first along its length-lex least digit string, so the witness
+is the length-lex least encoding in the refuting product: a function of
+the languages alone, the same vector the full chain
+``shortest_accepted(combine(from_semilinear_set(q1),
+from_semilinear_set(q2), op))`` returns.  That chain (``project``,
+``combine``, ``minimize``) stays for ``decide --dump-dir`` and as the
+test oracle; ``project`` determinizes with the same subset rows and
+Z-set acceptance, then minimizes.
 
 Transition maps may be partial: ``n_states`` is the implicit dead state
 of every missing (state, digits) entry.  ``minimize`` and ``combine``
@@ -26,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from operator import add, sub
+from operator import add, or_, sub
 
 from .foundation import PreconditionError
 
@@ -117,35 +137,122 @@ class EquationSystem:
         return len(self.existential)
 
 
-def from_equations(eq):
-    """DFA over all variables accepting encodings of solutions of A·y = b."""
+def _carry_edges(eq, keys, first=0):
+    """Compile the carry automaton of A·y = b, depth first from the carry b.
+
+    ``keys`` files each digit tuple over all variables, in
+    ``digit_tuples`` order, under its row key.  States are numbered from
+    ``first``.  Returns (edges, end, zero): the edges (q, key, t) in the
+    order they are built, one past the last state number, and the state
+    of the zero carry (the accepting one), or None when no reachable
+    carry is zero.
+    """
     rows = eq.matrix
+    odd, halve = (1).__and__, (1).__rrshift__
     # A·d for every digit tuple, one column at a time, in digit_tuples order
     ads = [(0,) * len(rows)]
     for column in [tuple(row[j] for row in rows) for j in range(eq.n_vars)]:
         ads = [v for ad in ads for v in (ad, tuple(map(add, ad, column)))]
     buckets = {}
-    for d, ad in zip(digit_tuples(eq.n_vars), ads):
-        parity = tuple(x & 1 for x in ad)
-        buckets.setdefault(parity, []).append((d, tuple(x >> 1 for x in ad)))
+    for key, ad in zip(keys, ads):
+        buckets.setdefault(tuple(map(odd, ad)), []).append((key, tuple(map(halve, ad))))
     start = tuple(eq.rhs)
-    index = {start: 0}
-    transitions = {}
+    index = {start: first}
+    edges = []
     frontier = [start]
     while frontier:
         carry = frontier.pop()
         q = index[carry]
-        half = tuple(c >> 1 for c in carry)
-        for d, ad_half in buckets.get(tuple(c & 1 for c in carry), ()):
+        half = tuple(map(halve, carry))
+        for key, ad_half in buckets.get(tuple(map(odd, carry)), ()):
             nxt = tuple(map(sub, half, ad_half))
             t = index.get(nxt)
             if t is None:
-                t = index[nxt] = len(index)
+                t = index[nxt] = first + len(index)
                 frontier.append(nxt)
-            transitions[(q, d)] = t
-    zero = (0,) * len(rows)
-    accepting = frozenset([index[zero]]) if zero in index else frozenset()
-    return VectorDFA(eq.n_vars, len(index), 0, transitions, accepting)
+            edges.append((q, key, t))
+    return edges, first + len(index), index.get((0,) * len(rows))
+
+
+def from_equations(eq):
+    """DFA over all variables accepting encodings of solutions of A·y = b."""
+    edges, n_states, zero = _carry_edges(eq, digit_tuples(eq.n_vars))
+    transitions = {(q, d): t for q, d, t in edges}
+    accepting = frozenset() if zero is None else frozenset([zero])
+    return VectorDFA(eq.n_vars, n_states, 0, transitions, accepting)
+
+
+def _digit_index(d):
+    """Position of a digit tuple in ``digit_tuples`` order."""
+    i = 0
+    for bit in d:
+        i = 2 * i + bit
+    return i
+
+
+def _closure(targets, preds):
+    """Bitmask of the states that reach ``targets`` along ``preds`` edges."""
+    seen = set(targets)
+    work = list(seen)
+    while work:
+        for q in preds[work.pop()]:
+            if q not in seen:
+                seen.add(q)
+                work.append(q)
+    return sum(1 << q for q in seen)
+
+
+class _ErasedNFA:
+    """Nondeterministic automaton over kept digit tuples, determinized on
+    demand.
+
+    Built from edges (q, i, t), i the index of the kept digit tuple in
+    ``digit_tuples`` order.  States that cannot reach an accepting state
+    are dropped.  The Z-set holds the states that reach an accepting
+    state along kept-zero digits (index 0).  A subset of states, kept as
+    the bitmask of its members, is numbered when first seen: ``masks``
+    lists them, the empty (dead) subset is 0, and ``accepts[s]`` says
+    whether subset s meets the Z-set.  ``successors(s)`` is the row of
+    successor subsets, one per kept digit tuple, computed once.
+    """
+
+    def __init__(self, n_states, width, edges, initial, accepting):
+        preds = [[] for _ in range(n_states)]
+        zero_preds = [[] for _ in range(n_states)]
+        for q, i, t in edges:
+            preds[t].append(q)
+            if i == 0:
+                zero_preds[t].append(q)
+        live = _closure(accepting, preds)
+        self._zset = _closure(accepting, zero_preds)
+        self._rows = rows = [[0] * width for _ in range(n_states)]
+        for q, i, t in edges:
+            if live >> t & 1:
+                rows[q][i] |= 1 << t
+        self.masks, self.accepts, self._table = [0], [False], [[0] * width]
+        self._index = {0: 0}
+        self.initial = self._number(live & sum(1 << q for q in initial))
+
+    def _number(self, mask):
+        s = self._index.get(mask)
+        if s is None:
+            s = self._index[mask] = len(self.masks)
+            self.masks.append(mask)
+            self.accepts.append(bool(mask & self._zset))
+            self._table.append(None)
+        return s
+
+    def successors(self, s):
+        row = self._table[s]
+        if row is None:
+            masks = [0] * len(self._table[0])
+            rest = self.masks[s]
+            while rest:
+                low = rest & -rest
+                masks = list(map(or_, masks, self._rows[low.bit_length() - 1]))
+                rest ^= low
+            row = self._table[s] = list(map(self._number, masks))
+        return row
 
 
 def minimize(dfa):
@@ -217,55 +324,32 @@ def equivalent(m1, m2):
 def project(dfa, drop):
     """Existentially project away the given tracks.
 
-    Subset construction over the digit-erased nondeterministic automaton,
-    then the padding-closure repair: a state becomes accepting when some
-    accepting state is reachable from it along all-zero digit tuples
-    (shorter encodings of a kept-track vector may need zero padding to
-    reach the acceptance the dropped tracks required).  Minimized.
+    Subset construction over the digit-erased nondeterministic automaton;
+    a subset accepts when it meets the Z-set (states that reach an
+    accepting state along digits that are zero on every kept track), so
+    a kept-track vector whose dropped tracks need zero padding accepts.
+    Minimized.
     """
     drop = frozenset(drop)
     if not drop <= set(range(dfa.tracks)):
         raise PreconditionError("dropped tracks outside automaton")
     keep = [t for t in range(dfa.tracks) if t not in drop]
-    # erased-track successor sets: state -> kept digit -> targets
-    kept = {d: tuple(d[i] for i in keep) for d in digit_tuples(dfa.tracks)}
-    erased = [{} for _ in range(dfa.n_states)]
-    for (q, d), t in dfa.transitions.items():
-        erased[q].setdefault(kept[d], set()).add(t)
-
-    start = frozenset([dfa.initial])
-    index = {start: 0}
-    order = [start]
+    kept = {d: _digit_index([d[i] for i in keep]) for d in digit_tuples(dfa.tracks)}
+    edges = [(q, kept[d], t) for (q, d), t in dfa.transitions.items()]
+    nfa = _ErasedNFA(dfa.n_states, 2 ** len(keep), edges, [dfa.initial], dfa.accepting)
+    alphabet = digit_tuples(len(keep))
+    order = [nfa.initial]
+    seen = set(order)
     transitions = {}
-    for s, subset in enumerate(order):
-        succ = {}
-        for q in subset:
-            for kd, ts in erased[q].items():
-                succ.setdefault(kd, set()).update(ts)
-        for kd in sorted(succ):
-            nxt = frozenset(succ[kd])
-            t = index.get(nxt)
-            if t is None:
-                t = index[nxt] = len(order)
-                order.append(nxt)
-            transitions[(s, kd)] = t
-
-    # zero-digit backward closure, as a worklist over reverse zero edges
-    zero = (0,) * len(keep)
-    zero_preds = {}
-    for s in range(len(order)):
-        t = transitions.get((s, zero))
-        if t is not None:
-            zero_preds.setdefault(t, []).append(s)
-    accepting = {s for s, subset in enumerate(order) if subset & dfa.accepting}
-    work = list(accepting)
-    while work:
-        for s in zero_preds.get(work.pop(), ()):
-            if s not in accepting:
-                accepting.add(s)
-                work.append(s)
-    out = VectorDFA(len(keep), len(order), 0, transitions, frozenset(accepting))
-    return minimize(out)
+    for s in order:
+        for kd, t in zip(alphabet, nfa.successors(s)):
+            if t:
+                transitions[(s, kd)] = t
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+    accepting = frozenset(s for s in order if nfa.accepts[s])
+    return minimize(VectorDFA(len(keep), len(nfa.masks), nfa.initial, transitions, accepting))
 
 
 def universe(tracks):
@@ -340,12 +424,9 @@ def shortest_accepted(m):
     return None
 
 
-def from_linear(ls):
-    """DFA over k tracks accepting exactly the members of a linear set.
-
-    Solves x - sum(l_j * v_j) = v0 over variables (x, l) and projects
-    the multiplier tracks away.
-    """
+def _linear_equations(ls):
+    """x - sum(l_j * v_j) = v0 over variables (x, l), the multipliers l
+    existential."""
     k = ls.dim
     r = len(ls.periods)
     rows = []
@@ -355,11 +436,17 @@ def from_linear(ls):
         for j, p in enumerate(ls.periods):
             row[k + j] = -p[i]
         rows.append(tuple(row))
-    eq = EquationSystem(rows, ls.constant, (False,) * k + (True,) * r)
-    dfa = from_equations(eq)
-    if r == 0:
+    return EquationSystem(rows, ls.constant, (False,) * k + (True,) * r)
+
+
+def from_linear(ls):
+    """DFA over k tracks accepting exactly the members of a linear set:
+    the carry automaton of its equations, multiplier tracks projected
+    away."""
+    dfa = from_equations(_linear_equations(ls))
+    if not ls.periods:
         return minimize(dfa)
-    return project(dfa, set(range(k, k + r)))
+    return project(dfa, set(range(ls.dim, dfa.tracks)))
 
 
 def from_semilinear_set(q):
@@ -370,28 +457,83 @@ def from_semilinear_set(q):
     return out
 
 
+def _erased_nfa(q):
+    """The disjoint union of the components' carry automata, each with
+    its multiplier tracks erased: one NFA over the k kept tracks."""
+    edges, initial, accepting = [], [], []
+    n = 0
+    for ls in q.components:
+        # the kept tracks lead, so a digit's kept index drops its r low bits
+        r = len(ls.periods)
+        keys = [j >> r for j in range(2 ** (q.dim + r))]
+        initial.append(n)
+        part, n, zero = _carry_edges(_linear_equations(ls), keys, n)
+        edges += part
+        if zero is not None:
+            accepting.append(zero)
+    return _ErasedNFA(n, 2 ** q.dim, edges, initial, accepting)
+
+
+def _pairs(a, b, parent, live):
+    """Pairs (S1, S2) of the subset product of ``a`` and ``b``, yielded in
+    breadth-first discovery order: each pair is first reached along its
+    length-lex least digit string, recorded in ``parent`` as (previous
+    pair, digit index).  Successors that fail ``live`` are skipped."""
+    start = (a.initial, b.initial)
+    parent[start] = None
+    yield start
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        for i, nxt in enumerate(zip(a.successors(pair[0]), b.successors(pair[1]))):
+            if nxt not in parent and live(nxt):
+                parent[nxt] = (pair, i)
+                yield nxt
+                queue.append(nxt)
+
+
 def compare(q1, q2, rel):
     """Decide equal/subset/disjoint on semilinear sets, with witness.
 
-    The relation holds when its one or two products (two differences
-    for equal) are empty.  On a False verdict the witness is the vector
-    with the shortest accepted encoding in the first nonempty product.
+    One walk over the subset product of the two erased NFAs stops at the
+    first pair that refutes the relation: S1 accepts and S2 does not
+    (subset), or both accept (disjoint).  ``equal`` returns the first
+    L1 - L2 pair, or else the first L2 - L1 pair of the same walk.  The
+    witness is the vector of that pair's digit string; None when the
+    relation holds.
     """
     if rel not in ("equal", "subset", "disjoint"):
         raise ValueError("rel must be equal/subset/disjoint")
     if q1.dim != q2.dim:
         raise PreconditionError("dimension mismatch")
-    m1, m2 = from_semilinear_set(q1), from_semilinear_set(q2)
-    products = {
-        "subset": [(m1, m2, "difference")],
-        "equal": [(m1, m2, "difference"), (m2, m1, "difference")],
-        "disjoint": [(m1, m2, "intersection")],
-    }[rel]
-    for a, b, op in products:
-        witness = shortest_accepted(combine(a, b, op))
-        if witness is not None:
-            return False, witness
-    return True, None
+    a, b = _erased_nfa(q1), _erased_nfa(q2)
+    later = None        # the first L2 - L1 pair, for equal
+
+    def live(pair):
+        # the pair or a descendant can still refute
+        s1, s2 = pair
+        if rel == "subset":
+            return s1
+        if rel == "disjoint":
+            return s1 and s2
+        return s1 or (s2 and later is None)
+
+    def witness(pair):
+        alphabet = digit_tuples(q1.dim)
+        digits = []
+        while parent[pair] is not None:
+            pair, i = parent[pair]
+            digits.append(alphabet[i])
+        return decode_digits(digits[::-1], q1.dim)
+
+    parent = {}
+    for pair in _pairs(a, b, parent, live):
+        in1, in2 = a.accepts[pair[0]], b.accepts[pair[1]]
+        if in1 and (in2 if rel == "disjoint" else not in2):
+            return False, witness(pair)
+        if in2 and not in1 and rel == "equal" and later is None:
+            later = pair
+    return (True, None) if later is None else (False, witness(later))
 
 
 def dump_tsv(m):

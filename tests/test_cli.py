@@ -128,6 +128,28 @@ def test_unambiguous_etol_phi_collision_message(tmp_path, capsys):
     assert err == "error: phi not injective on Q: ('a', 'a') from (0, 1) and (2, 0)\n"
 
 
+def test_unambiguous_etol_rejects_components_meeting_outside_the_box(tmp_path, capsys):
+    # the box scan passed this Q and the conversion printed PASS
+    q = semilinear(linear((5, 5), (2, 2), (0, 1)), linear((2, 5), (1, 3)))
+    path = _write(tmp_path, "spec.json", BoundedSpec((word("a"), word("b")), "ginsburg", q1=q))
+    assert cli.main(["convert", path, "--to", "unambiguous-etol"]) == 2
+    out, err = capsys.readouterr()
+    assert "oracle-equal" not in out
+    assert err == "error: Q is not semi-simple: components 0 and 1 meet at (5, 14)\n"
+
+
+def test_decide_witness_in_both_languages_is_precondition_error(tmp_path, capsys):
+    # (a^5, a^7) collide only at a^35, beyond the injectivity check length
+    words = (word("aaaaa"), word("aaaaaaa"))
+    left = _write(tmp_path, "left.json", BoundedSpec(words, "ginsburg", q1=semilinear(linear((7, 0)))))
+    right = _write(tmp_path, "right.json", BoundedSpec(words, "ginsburg", q1=semilinear(linear((0, 5)))))
+    assert cli.main(["decide", left, right, "--relation", "equal"]) == 2
+    out, err = capsys.readouterr()
+    assert "verdict" not in out
+    assert err == ("error: injectivity assertion failed: witness %s has decompositions "
+                   "(7, 0) in Q1 and (0, 5) in Q2\n" % ("a" * 35))
+
+
 def test_decide_phi_collision_message(tmp_path, capsys):
     spec = BoundedSpec((word("a"), word("a")), "ginsburg", q1=semilinear(linear((0, 0), (1, 1))))
     path = _write(tmp_path, "spec.json", spec)

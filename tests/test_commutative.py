@@ -1,6 +1,7 @@
 """Prefix codes, matrix/ETOL regularization, the single-table pipeline."""
 
 import random
+import time
 
 import pytest
 
@@ -68,6 +69,19 @@ def test_is_code_bounded():
     assert cr.is_code_bounded([word("ab"), word("ba")])
     assert not cr.is_code_bounded([word("a"), word("ab"), word("b")])  # a.b = ab
     assert cr.is_code_bounded([word("aa"), word("ab")])
+    assert not cr.is_code_bounded([word("ab"), word("abb"), word("bab")])  # abb.ab = ab.bab
+    assert cr.is_code_bounded([word("a"), word("ab"), word("bb")])  # a suffix code
+    assert not cr.is_code_bounded([word("a"), word("a")])
+    assert not cr.is_code_bounded([word("a"), ()])
+
+
+def test_is_code_bounded_is_polynomial():
+    # the concatenation walk kept every product up to length 32 and ran
+    # out of 1 GiB on this set
+    words = [word(w) for w in ("b", "aaaaabbb", "aaa", "abbb", "bbaabb")]
+    start = time.perf_counter()
+    assert cr.is_code_bounded(words)
+    assert time.perf_counter() - start < 0.01
 
 
 def aSb_grammar():

@@ -245,6 +245,28 @@ def test_decide_bounded_word_tuple_injectivity():
         cm.decide_bounded(bad, bad, "equal")
 
 
+A5_A7 = (word("aaaaa"), word("aaaaaaa"))
+
+
+@pytest.mark.parametrize("rel", ["equal", "subset"])
+def test_decide_bounded_rejects_a_witness_in_both_languages(rel):
+    # phi(7, 0) = phi(0, 5) = a^35 lies beyond the injectivity check
+    # length; the two languages are both {a^35}, so "unequal" with
+    # witness a^35 would be false
+    s1 = BoundedSpec(A5_A7, "ginsburg", q1=semilinear(linear((7, 0))))
+    s2 = BoundedSpec(A5_A7, "ginsburg", q1=semilinear(linear((0, 5))))
+    with pytest.raises(PreconditionError, match=r"decompositions \(7, 0\) in Q1 and \(0, 5\) in Q2"):
+        cm.decide_bounded(s1, s2, rel)
+
+
+def test_decide_bounded_keeps_a_witness_in_one_language():
+    # non-distinct words whose witness has one decomposition, in Q1 only
+    s1 = BoundedSpec(A5_A7, "ginsburg", q1=semilinear(linear((1, 0))))
+    s2 = BoundedSpec(A5_A7, "ginsburg", q1=semilinear(linear((0, 1))))
+    v = cm.decide_bounded(s1, s2, "equal")
+    assert not v.holds and v.witness == word("aaaaa")
+
+
 def test_decide_bounded_randomized_against_oracle():
     rng = random.Random(13)
     letters = (word("a"), word("b"))

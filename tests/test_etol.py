@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from workbench.foundation import Budget, enumerate_language, word
+from workbench.foundation import Budget, PreconditionError, enumerate_language, word
 from workbench.semilinear import linear, member, parikh, phi, semilinear
 from workbench import etol, fixtures
 from workbench.foundation import Alphabet
@@ -384,8 +384,20 @@ def test_unambiguous_bounded_etol_diag_positive():
 
 def test_unambiguous_bounded_etol_rejects_dependent_periods():
     q = semilinear(linear((0, 0), (1, 1), (2, 2)))
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionError, match="component 0 has dependent periods"):
         etol.unambiguous_bounded_etol((word("a"), word("b")), q)
+
+
+MEETING_OUTSIDE_BOX = semilinear(linear((5, 5), (2, 2), (0, 1)), linear((2, 5), (1, 3)))
+
+
+def test_unambiguous_bounded_etol_rejects_components_meeting_outside_the_box():
+    # both components are simple and disjoint on [0, 8]^2, but they meet
+    # at (5, 14), so a^5 b^14 would have two derivation trees
+    assert member(semilinear(MEETING_OUTSIDE_BOX.components[0]), (5, 14))
+    assert member(semilinear(MEETING_OUTSIDE_BOX.components[1]), (5, 14))
+    with pytest.raises(PreconditionError, match=r"components 0 and 1 meet at \(5, 14\)"):
+        etol.unambiguous_bounded_etol((word("a"), word("b")), MEETING_OUTSIDE_BOX)
 
 
 def test_reduced_terminals_preserved_each_step():

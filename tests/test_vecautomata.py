@@ -366,3 +366,120 @@ def test_compare_agrees_with_box_membership(q1, q2, rel):
         assert not any(bad(a, b) for a, b in box)
     else:
         assert bad(member(q1, wit), member(q2, wit))
+
+
+def _reference_project(dfa, drop):
+    """Projection as a full subset construction over frozensets, then the
+    post-hoc padding repair: a subset accepts when some accepting subset
+    is reachable from it along all-zero kept digits.  Minimized."""
+    keep = [t for t in range(dfa.tracks) if t not in drop]
+    erased = {}
+    for (q, d), t in dfa.transitions.items():
+        erased.setdefault(q, {}).setdefault(tuple(d[i] for i in keep), set()).add(t)
+    start = frozenset([dfa.initial])
+    index, order, transitions = {start: 0}, [start], {}
+    for s, subset in enumerate(order):
+        succ = {}
+        for q in subset:
+            for kd, ts in erased.get(q, {}).items():
+                succ.setdefault(kd, set()).update(ts)
+        for kd, ts in sorted(succ.items()):
+            nxt = frozenset(ts)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            transitions[(s, kd)] = index[nxt]
+    zero = (0,) * len(keep)
+    accepting = {s for s, subset in enumerate(order) if subset & dfa.accepting}
+    grown = True
+    while grown:
+        grown = False
+        for s in range(len(order)):
+            if s not in accepting and transitions.get((s, zero)) in accepting:
+                accepting.add(s)
+                grown = True
+    return va.minimize(va.VectorDFA(len(keep), len(order), 0, transitions, frozenset(accepting)))
+
+
+def _projection_cases():
+    # the padding-closure cases above: x = y, x = 2y, y = x + 4, then
+    # projections of every track, of a difference, and of a one-track set
+    for row, rhs in (((1, -1), 0), ((1, -2), 0), ((1, -1), -4)):
+        yield va.from_equations(va.EquationSystem([row], (rhs,), (False, True))), {1}
+    nonempty = va.from_linear(linear((1, 1), (1, 1)))
+    yield nonempty, {0, 1}
+    yield va.combine(nonempty, nonempty, "difference"), {0, 1}
+    yield va.from_linear(linear((2,), (3,))), {0}
+    rng = random.Random(17)
+    for eq in _seeded_systems(rng, 15):
+        drop = {t for t in range(eq.n_vars) if rng.random() < 0.5}
+        yield va.from_equations(eq), drop
+
+
+def test_project_zset_acceptance_matches_the_padding_repair():
+    for dfa, drop in _projection_cases():
+        assert va.project(dfa, drop) == _reference_project(dfa, drop), drop
+
+
+def _ladder_pair(rng, k, r, rel, true):
+    """Two semilinear sets of one linear component each, drawn like the
+    benchmark's decide pairs: constants in [0, 3], periods in [0, 2]^k;
+    when ``true`` the relation holds by construction."""
+    def draw(even_first=False, parity=None):
+        const = [rng.randrange(4) for _ in range(k)]
+        if parity is not None:
+            const[0] = rng.choice((0, 2)) + parity
+        periods = []
+        while len(periods) < r:
+            p = [rng.randrange(3) for _ in range(k)]
+            if even_first:
+                p[0] = rng.choice((0, 2))
+            if any(p):
+                periods.append(tuple(p))
+        return linear(const, *periods)
+
+    if rel == "disjoint" and true:
+        return semilinear(draw(True, 0)), semilinear(draw(True, 1))
+    a = draw()
+    if not true:
+        return semilinear(a), semilinear(draw())
+    shifted = linear([c + x for c, x in zip(a.constant, a.periods[0])], *a.periods)
+    if rel == "subset":
+        return semilinear(shifted), semilinear(a)
+    perm = list(a.periods)
+    rng.shuffle(perm)
+    return semilinear(a), semilinear(linear(a.constant, *perm), shifted)
+
+
+def _full_dfa_compare(q1, q2, rel):
+    m1, m2 = va.from_semilinear_set(q1), va.from_semilinear_set(q2)
+    products = {
+        "subset": [(m1, m2, "difference")],
+        "equal": [(m1, m2, "difference"), (m2, m1, "difference")],
+        "disjoint": [(m1, m2, "intersection")],
+    }[rel]
+    for a, b, op in products:
+        witness = va.shortest_accepted(va.combine(a, b, op))
+        if witness is not None:
+            return False, witness
+    return True, None
+
+
+# the benchmark's decide ladder (dimension k, periods r) up to k + r = 6
+LADDER = ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3))
+
+
+@pytest.mark.parametrize("rel", ["equal", "subset", "disjoint"])
+def test_compare_matches_the_full_dfa_chain(rel):
+    rng = random.Random("compare:" + rel)
+    false_verdicts = 0
+    for k, r in LADDER:
+        for n in range(6):
+            q1, q2 = _ladder_pair(rng, k, r, rel, n % 2 == 0)
+            got = va.compare(q1, q2, rel)
+            assert got == _full_dfa_compare(q1, q2, rel), (k, r, q1, q2)
+            false_verdicts += not got[0]
+        # unions of components, so subsets mix several carry automata
+        q1, q2 = _random_set(rng, k), _random_set(rng, k)
+        assert va.compare(q1, q2, rel) == _full_dfa_compare(q1, q2, rel), (q1, q2)
+    assert false_verdicts >= 5
