@@ -583,6 +583,8 @@ def main(argv=None):
         for name in ("max_len", "check_len", "count", "audit_len", "verify_len"):
             if getattr(args, name, 0) < 0:
                 raise PreconditionError("--%s must be >= 0" % name.replace("_", "-"))
+        if getattr(args, "max_order", 1) < 1:
+            raise PreconditionError("--max-order must be >= 1")
         return args.fn(args)
     except PreconditionError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -12,12 +12,21 @@ increasing phase to a strictly decreasing one or vice versa; zero moves
 (plateaus) do not end a phase.  Runs whose reversal count exceeds the
 machine's bound are inadmissible and pruned during simulation.
 
+Each machine compiles its transitions once, on first use, into a step
+table cached on the machine: symbol -> state -> {zero-pattern: ((target,
+sparse moves), ...)}, the sparse moves being the (counter, ±1) pairs of
+a move vector.  A step touches only the counters it changes, and only
+the states that have a move on the symbol are stepped at all.
+
 Simulation memoizes configuration sets and shares them across a whole
 prefix tree, so checking every word up to a length bound against a
 machine is cheap enough for the oracle-style test suite.  One lazy walk,
 :meth:`Simulator._lambda_reach`, yields the λ-successors of a set as it
 finds them: the λ-closure of a set is all of it, and the acceptance
 probe stops at the first accepting configuration after the end-marker.
+:func:`accepted_words` walks the prefix tree once and remembers, per
+(set, letters left), whether an accepted word lies within reach, so it
+enters a dead prefix's subtree only the first time it meets that pair.
 
 Both bounded-language constructions, the NCM of :func:`from_semilinear`
 and the DCM of :func:`dcm_for_bounded`, verify a counter vector by
@@ -28,6 +37,7 @@ and the DCM of :func:`dcm_for_bounded`, verify a counter vector by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .foundation import (
@@ -41,6 +51,7 @@ from .foundation import (
     show_word,
     sort_words,
 )
+from .commutative import is_code_bounded
 from .semilinear import _phi_collision, _tuples_within_length, member, phi
 from . import vecautomata
 
@@ -69,27 +80,36 @@ class CounterMachine:
             raise ValueError("accepting states unknown")
         if END in alphabet:
             raise ValueError("end-marker cannot be an input symbol")
+        # each distinct symbol, zero-pattern and move vector is checked
+        # once; a move vector maps to its decremented counters
+        syms, pats, decs = {None, END}, set(), {}
         norm = {}
         for (q, sym, pat), targets in transitions.items():
             if q not in state_set:
                 raise ValueError("transition from unknown state %r" % (q,))
-            if sym is not None and sym != END and sym not in alphabet:
-                raise ValueError("transition on unknown symbol %r" % (sym,))
+            if sym not in syms:
+                if sym not in alphabet:
+                    raise ValueError("transition on unknown symbol %r" % (sym,))
+                syms.add(sym)
             pat = tuple(pat)
-            if len(pat) != k or any(b not in (0, 1) for b in pat):
-                raise ValueError("bad zero-pattern %r" % (pat,))
-            seen = []
+            if pat not in pats:
+                if len(pat) != k or any(b not in (0, 1) for b in pat):
+                    raise ValueError("bad zero-pattern %r" % (pat,))
+                pats.add(pat)
+            seen = set()
             for (p, moves) in targets:
                 moves = tuple(moves)
                 if p not in state_set:
                     raise ValueError("transition to unknown state %r" % (p,))
-                if len(moves) != k or any(m not in (-1, 0, 1) for m in moves):
-                    raise ValueError("bad move vector %r" % (moves,))
-                for i in range(k):
-                    if pat[i] == 0 and moves[i] < 0:
+                if moves not in decs:
+                    if len(moves) != k or any(m not in (-1, 0, 1) for m in moves):
+                        raise ValueError("bad move vector %r" % (moves,))
+                    decs[moves] = [i for i, m in enumerate(moves) if m < 0]
+                for i in decs[moves]:
+                    if pat[i] == 0:
                         raise ValueError("decrement on zero counter %d" % i)
-                seen.append((p, moves))
-            norm[(q, sym, pat)] = tuple(sorted(set(seen), key=repr))
+                seen.add((p, moves))
+            norm[(q, sym, pat)] = tuple(sorted(seen, key=repr)) if len(seen) > 1 else tuple(seen)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "initial", initial)
@@ -98,9 +118,18 @@ class CounterMachine:
         object.__setattr__(self, "transitions", norm)
         object.__setattr__(self, "reversal_bound", reversal_bound)
 
-    def moves_from(self, state, sym, counters):
-        pat = tuple(1 if c > 0 else 0 for c in counters)
-        return self.transitions.get((state, sym, pat), ())
+    @cached_property
+    def _steps(self):
+        """The step table (see the module docstring), compiled on first use."""
+        sparse = {}    # compiled once per distinct target tuple
+        steps = {}
+        for (q, sym, pat), targets in self.transitions.items():
+            if targets not in sparse:
+                sparse[targets] = tuple(
+                    (p, tuple((i, m) for i, m in enumerate(moves) if m)) for p, moves in targets
+                )
+            steps.setdefault(sym, {}).setdefault(q, {})[pat] = sparse[targets]
+        return steps
 
 
 def is_deterministic(m):
@@ -116,16 +145,6 @@ def is_deterministic(m):
     return True
 
 
-def _bump_phase(phase, rev, move):
-    if move == 0:
-        return phase, rev
-    if phase == 0:
-        return move, rev
-    if move == -phase:
-        return move, rev + 1
-    return phase, rev
-
-
 class Simulator:
     """Frontier-set simulator with memoized λ-closures shared across words.
 
@@ -139,6 +158,7 @@ class Simulator:
         self.m = machine
         self.budget = budget or DEFAULT_BUDGET
         self.cap = self.budget.scaled_steps(max_len)
+        self._steps = machine._steps
         self._sets = {}        # frozenset -> id
         self._by_id = []
         self._closure = {}     # id -> id
@@ -155,28 +175,40 @@ class Simulator:
             self._by_id.append(configs)
         return self._sets[configs]
 
-    def _charge(self, n=1):
+    def _charge(self, n):
+        """Pay for n expansions; past the budget, ``expansions`` reads
+        ``max_steps + 1`` however large the last charge was."""
         self.expansions += n
         if self.expansions > self.budget.max_steps:
+            self.expansions = self.budget.max_steps + 1
             raise BudgetExhausted("simulation budget exhausted")
 
-    def _apply(self, config, sym):
-        state, counters, phases, revs = config
+    def _apply(self, config, by_pattern):
+        """The successors of a configuration by the moves of its state on
+        one symbol, ``by_pattern`` being that row of the step table."""
+        _, counters, phases, revs = config
+        targets = by_pattern.get(tuple(map(bool, counters)))
+        if targets is None:
+            return ()
         cap, bound = self.cap, self.m.reversal_bound
         out = []
-        for (p, moves) in self.m.moves_from(state, sym, counters):
-            cs, phs, rvs = [], [], []
+        for (p, moves) in targets:
+            if not moves:
+                out.append((p, counters, phases, revs))
+                continue
+            cs, phs, rvs = list(counters), list(phases), list(revs)
             capped = False
-            for c, ph, rv, mv in zip(counters, phases, revs, moves):
-                c2 = c + mv
-                if c2 > cap:
+            for i, mv in moves:
+                c = cs[i] = cs[i] + mv
+                if c > cap:
                     capped = True
-                ph2, rv2 = _bump_phase(ph, rv, mv)
-                if c2 < 0 or rv2 > bound:
-                    break
-                cs.append(c2)
-                phs.append(ph2)
-                rvs.append(rv2)
+                ph = phs[i]
+                if ph != mv:
+                    phs[i] = mv
+                    if ph:          # a switch of direction: one more reversal
+                        rvs[i] += 1
+                        if rvs[i] > bound:
+                            break
             else:
                 if capped:
                     self.cap_prunes += 1
@@ -189,11 +221,15 @@ class Simulator:
         each config expanded costs one step."""
         seen = set(configs)
         yield from seen
+        rows = self._steps.get(None, {})
         stack = list(configs)
         while stack:
             cfg = stack.pop()
-            self._charge()
-            for nxt in self._apply(cfg, None):
+            self._charge(1)
+            row = rows.get(cfg[0])
+            if row is None:
+                continue
+            for nxt in self._apply(cfg, row):
                 if nxt not in seen:
                     seen.add(nxt)
                     yield nxt
@@ -207,14 +243,19 @@ class Simulator:
         return self._closure[set_id]
 
     def extend_id(self, set_id, sym):
+        """The configurations after reading sym from the λ-closure of a
+        set, interned; every closed configuration costs one step."""
         key = (set_id, sym)
         if key in self._extend:
             return self._extend[key]
         closed = self._by_id[self.closure_id(set_id)]
+        self._charge(len(closed))
+        rows = self._steps.get(sym, {})
         nxt = set()
         for cfg in closed:
-            self._charge()
-            nxt.update(self._apply(cfg, sym))
+            row = rows.get(cfg[0])
+            if row is not None:
+                nxt.update(self._apply(cfg, row))
         out = self._intern(frozenset(nxt))
         self._extend[key] = out
         return out
@@ -252,27 +293,37 @@ def accepts(m, w, budget=None):
 
 def accepted_words(m, max_len, budget=None):
     """All accepted words of length <= max_len, prefix-tree order shared;
-    incomplete when the budget or the counter cap cut the search."""
+    incomplete when the budget or the counter cap cut the search.
+
+    ``live`` maps (set id, letters left) to whether an accepted word lies
+    within reach.  A pair is walked in full when first met, so the
+    simulator computes the memo entries, and charges the ``explored``
+    steps, of the whole prefix tree; a prefix whose pair is dead is not
+    entered again.  A budget cut ends the walk.
+    """
     budget = budget or DEFAULT_BUDGET
     sim = Simulator(m, budget, max_len=max_len)
     out = []
-    complete = True
+    live = {}
+    letters, by_id = m.alphabet.symbols, sim._by_id
 
-    def walk(w, sid):
-        nonlocal complete
-        try:
-            if sim.probe_id(sid):
-                out.append(w)
-            if len(w) < max_len:
-                for a in m.alphabet:
-                    nid = sim.extend_id(sid, a)
-                    if sim._by_id[nid]:
-                        walk(w + (a,), nid)
-        except BudgetExhausted:
-            complete = False
+    def walk(w, sid, left):
+        found = sim.probe_id(sid)
+        if found:
+            out.append(w)
+        if left:
+            for a in letters:
+                nid = sim.extend_id(sid, a)
+                if by_id[nid] and live.get((nid, left - 1), True):
+                    found = walk(w + (a,), nid, left - 1) or found
+        live[(sid, left)] = found
+        return found
 
-    walk((), sim.start_id)
-    complete = complete and not sim.cap_prunes
+    try:
+        walk((), sim.start_id, max_len)
+        complete = not sim.cap_prunes
+    except BudgetExhausted:
+        complete = False
     return Enumeration(sort_words(out), complete, sim.expansions)
 
 
@@ -483,9 +534,11 @@ def decide_bounded(s1, s2, rel, injectivity_check_len=12):
     up to the check length by searching for two exponent tuples with the
     same image, and an equal/subset witness word is checked over all its
     decompositions: one that lies in both languages proves phi is not
-    injective.  The decision reduces to the vector-automata comparison
-    of the two semilinear sets; a vector witness maps through phi to a
-    witness word.
+    injective.  A true ``disjoint`` verdict has no witness to check, so
+    it needs words that form a code (Sardinas-Patterson), on which phi
+    is injective outright.  The decision reduces to the vector-automata
+    comparison of the two semilinear sets; a vector witness maps through
+    phi to a witness word.
     """
     if s1.kind != "ginsburg" or s2.kind != "ginsburg":
         raise PreconditionError("decide_bounded works on Ginsburg specs")
@@ -500,6 +553,12 @@ def decide_bounded(s1, s2, rel, injectivity_check_len=12):
             )
         notes = "phi-injectivity validated to length %d" % injectivity_check_len
     holds, vec = vecautomata.compare(s1.q1, s2.q1, rel)
+    if holds and rel == "disjoint" and not s1.is_distinct_letter():
+        if not is_code_bounded(s1.words):
+            raise PreconditionError(
+                "phi-injectivity unknown: the words are not a code, so disjoint exponent "
+                "sets do not make the languages disjoint"
+            )
     witness = phi(s1.words, vec) if vec is not None else None
     if witness is not None and rel != "disjoint" and not s1.is_distinct_letter():
         decs = sorted(decompositions(witness, s1.words))

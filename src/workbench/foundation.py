@@ -175,8 +175,11 @@ class Enumeration:
 
 
 def sort_words(words):
-    """Canonical order: by length, then lexicographic on symbol tuples."""
-    return sorted(set(map(tuple, words)), key=lambda w: (len(w), w))
+    """Canonical order: by length, then lexicographic on symbol tuples
+    (a lexicographic sort, then a stable one by length)."""
+    out = sorted(set(map(tuple, words)))
+    out.sort(key=len)
+    return out
 
 
 def _budgeted(nodes, word_of, budget):

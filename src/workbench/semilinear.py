@@ -21,6 +21,11 @@ coordinates up to n it costs O(n^(r - s)): exponential only in the
 number of dependent periods, and O(1) for a set whose periods are
 independent.
 
+Enumeration goes the other way: a ``ginsburg`` or ``ginsburg-parikh``
+spec, and the semi-simplicity box scan, generate each component's
+members forward (constant plus period multiples, clipped by length or
+box), lazily, so a budget cuts the generation itself.
+
 Exact arithmetic throughout; nothing here touches floats.
 """
 
@@ -29,9 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import lcm
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .foundation import (
@@ -186,6 +190,27 @@ def _search_free(periods, plan, j, rem):
     return False
 
 
+def _forward_members(ls, fits):
+    """The vectors constant + sum m_j p_j that ``fits`` accepts, lazily,
+    one per multiplier tuple (so a vector reached by two tuples comes
+    twice).  ``fits`` must reject v + p whenever it rejects v, for every
+    period p: the multiplier of a period stops growing at the first
+    vector that does not fit."""
+    periods = ls.periods
+
+    def rec(j, v):
+        if j == len(periods):
+            yield v
+            return
+        p = periods[j]
+        while fits(v):
+            yield from rec(j + 1, v)
+            v = tuple(map(add, v, p))
+
+    if fits(ls.constant):
+        yield from rec(0, ls.constant)
+
+
 def member(q, v):
     """True iff some component of q contains the vector v.
 
@@ -299,17 +324,26 @@ def _phi_collision(words, tuples):
 
 
 def _enumerate_bounded(spec, max_len, budget):
+    """A ``parikh`` spec walks every exponent tuple within the length;
+    the other kinds draw Q1's members forward, so each node is a member."""
+    words = spec.words
+    if spec.kind == "parikh":
+        nodes = _tuples_within_length(words, max_len)
+    else:
+        lens = [len(w) for w in words]
+
+        def fits(t):
+            return sum(map(mul, t, lens)) <= max_len
+
+        nodes = (t for c in spec.q1.components for t in _forward_members(c, fits))
+
     def word_of(t):
-        if spec.kind in ("ginsburg", "ginsburg-parikh") and not member(spec.q1, t):
-            return None
-        w = phi(spec.words, t)
-        if spec.kind in ("parikh", "ginsburg-parikh") and not member(
-            spec.q2, parikh(w, spec.alphabet)
-        ):
+        w = phi(words, t)
+        if spec.kind != "ginsburg" and not member(spec.q2, parikh(w, spec.alphabet)):
             return None
         return w
 
-    return _budgeted(_tuples_within_length(spec.words, max_len), word_of, budget)
+    return _budgeted(nodes, word_of, budget)
 
 
 register_enumerator(BoundedSpec, _enumerate_bounded)
@@ -371,16 +405,26 @@ class SemiSimpleReport:
 def validate_semi_simple(q, box):
     """Check every component simple and pairwise disjoint on [0,box]^k.
 
-    The verdict is evidence up to the box, never a proof beyond it;
+    Each component's points in the box are generated forward; the points
+    shared by two or more components are reported in lexicographic order,
+    stopping after the point at which ten collisions are reached.  The
+    verdict is evidence up to the box, never a proof beyond it;
     semi-simple decompositions are supplied by callers, not synthesized.
     """
     if box < 1:
         raise PreconditionError("box must be >= 1")
     flags = tuple(is_simple(c) for c in q.components)
+
+    def fits(v):
+        return max(v) <= box
+
+    owners = {}     # point of the box -> the components holding it
+    for i, c in enumerate(q.components):
+        for v in set(_forward_members(c, fits)):
+            owners.setdefault(v, []).append(i)
     collisions = []
-    singles = [SemilinearSet((c,)) for c in q.components]
-    for v in product(range(box + 1), repeat=q.dim):
-        hits = [i for i, s in enumerate(singles) if member(s, v)]
+    for v in sorted(v for v, hits in owners.items() if len(hits) > 1):
+        hits = owners[v]
         for a in range(len(hits)):
             for b in range(a + 1, len(hits)):
                 collisions.append((hits[a], hits[b], v))

@@ -117,6 +117,16 @@ def test_series_negative_count_is_precondition_error(tmp_path, capsys, mode):
     assert err == "error: --count must be >= 0\n"
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_series_max_order_below_one_is_precondition_error(tmp_path, capsys, order):
+    # both printed "fit: no recurrence of order <= <order>" and exited 1
+    path = _write(tmp_path, "copy.json", copy_language_matrix())
+    assert cli.main(["series", path, "--max-order", order]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --max-order must be >= 1\n"
+
+
 def test_unambiguous_etol_phi_collision_message(tmp_path, capsys):
     # semi-simple, but phi(0, 1) = phi(2, 0) = aa for the words (a, aa)
     spec = BoundedSpec((word("a"), word("aa")), "ginsburg",
@@ -148,6 +158,17 @@ def test_decide_witness_in_both_languages_is_precondition_error(tmp_path, capsys
     assert "verdict" not in out
     assert err == ("error: injectivity assertion failed: witness %s has decompositions "
                    "(7, 0) in Q1 and (0, 5) in Q2\n" % ("a" * 35))
+
+
+def test_decide_disjoint_needs_words_that_form_a_code(tmp_path, capsys):
+    # both languages are {a^35}: "verdict: True" was false
+    words = (word("aaaaa"), word("aaaaaaa"))
+    left = _write(tmp_path, "left.json", BoundedSpec(words, "ginsburg", q1=semilinear(linear((7, 0)))))
+    right = _write(tmp_path, "right.json", BoundedSpec(words, "ginsburg", q1=semilinear(linear((0, 5)))))
+    assert cli.main(["decide", left, right, "--relation", "disjoint"]) == 2
+    out, err = capsys.readouterr()
+    assert "verdict" not in out
+    assert err.startswith("error: phi-injectivity unknown")
 
 
 def test_decide_phi_collision_message(tmp_path, capsys):
@@ -330,7 +351,7 @@ EXIT_CODES = [
     (["decide", "anbn", "aba", "--relation", "equal"], 2),
     # series
     (["series", "copy", "--count", "40"], 0),
-    (["series", "copy", "--count", "40", "--max-order", "0"], 1),
+    (["series", "copy", "--count", "40", "--max-order", "0"], 2),
     (["series", "semi"], 2),
     # audit
     (["audit", "copy-etol", "--kind", "index"], 0),

@@ -259,6 +259,23 @@ def test_decide_bounded_rejects_a_witness_in_both_languages(rel):
         cm.decide_bounded(s1, s2, rel)
 
 
+def test_decide_bounded_disjoint_needs_a_code():
+    # Q1 and Q2 are disjoint, yet phi(7, 0) = phi(0, 5) = a^35 lies in both
+    # languages: a true "disjoint" needs phi injective, which a code certifies
+    s1 = BoundedSpec(A5_A7, "ginsburg", q1=semilinear(linear((7, 0))))
+    s2 = BoundedSpec(A5_A7, "ginsburg", q1=semilinear(linear((0, 5))))
+    with pytest.raises(PreconditionError, match="phi-injectivity unknown"):
+        cm.decide_bounded(s1, s2, "disjoint")
+    # the code (ab, ac) keeps a true verdict, and a false one needs no code
+    code = (word("ab"), word("ac"))
+    assert cm.decide_bounded(BoundedSpec(code, "ginsburg", q1=semilinear(linear((7, 0)))),
+                             BoundedSpec(code, "ginsburg", q1=semilinear(linear((0, 5)))),
+                             "disjoint").holds
+    same = BoundedSpec(A5_A7, "ginsburg", q1=semilinear(linear((7, 0))))
+    v = cm.decide_bounded(same, same, "disjoint")
+    assert not v.holds and v.witness == ("a",) * 35
+
+
 def test_decide_bounded_keeps_a_witness_in_one_language():
     # non-distinct words whose witness has one decomposition, in Q1 only
     s1 = BoundedSpec(A5_A7, "ginsburg", q1=semilinear(linear((1, 0))))
@@ -322,3 +339,86 @@ def test_counter_cap_prune_is_not_a_rejection():
     m = lambda_countdown_machine()
     with pytest.raises(BudgetExhausted):
         cm.accepts(m, (), Budget(step_factor=32))
+
+
+def brute_accepted(m, max_len, cap):
+    """(accepted words, whether the cap cut a run) by a separate run
+    search for every word of length <= max_len, read off the transition
+    table alone: a run moves on (state, symbol or λ, zero-pattern), turns
+    a counter's direction at most ``reversal_bound`` times, and is cut
+    when a counter would pass ``cap``."""
+    cut = False
+
+    def steps(cfg, sym):
+        nonlocal cut
+        q, cs, phases, revs = cfg
+        pat = tuple(int(c > 0) for c in cs)
+        for p, moves in m.transitions.get((q, sym, pat), ()):
+            turns = [rv + (d != 0 and ph != 0 and d != ph) for ph, rv, d in zip(phases, revs, moves)]
+            if max(turns) > m.reversal_bound:
+                continue
+            nxt = tuple(c + d for c, d in zip(cs, moves))
+            if max(nxt) > cap:
+                cut = True
+                continue
+            yield p, nxt, tuple(d or ph for ph, d in zip(phases, moves)), tuple(turns)
+
+    def closure(cfgs):
+        seen, stack = set(cfgs), list(cfgs)
+        while stack:
+            for nxt in steps(stack.pop(), None):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    zero = (0,) * m.k
+    words = set()
+    for w in all_words(m.alphabet, max_len):
+        cur = closure({(m.initial, zero, zero, zero)})
+        for sym in w + (cm.END,):
+            cur = closure({nxt for cfg in cur for nxt in steps(cfg, sym)})
+        if any(cfg[0] in m.accepting for cfg in cur):
+            words.add(w)
+    return words, cut
+
+
+def random_machine(rng):
+    """At most 4 states and 2 counters; λ-moves between random states
+    make λ-cycles, some of which pump a counter into the cap."""
+    k = rng.randint(1, 2)
+    states = ["q%d" % i for i in range(rng.randint(2, 4))]
+    trans = {}
+    for q in states:
+        for sym in ("a", "b", None, cm.END):
+            for pat in product((0, 1), repeat=k):
+                if rng.random() < 0.3:
+                    trans[(q, sym, pat)] = [
+                        (rng.choice(states), tuple(rng.choice((-1, 0, 1) if b else (0, 1)) for b in pat))
+                        for _ in range(rng.randint(1, 2))
+                    ]
+    accepting = rng.sample(states, rng.randint(1, 2))
+    return cm.CounterMachine(k, states, states[0], accepting, AB, trans,
+                             reversal_bound=rng.randint(1, 2))
+
+
+def test_accepted_words_agree_with_a_brute_force_run_search():
+    cuts = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        m = random_machine(rng)
+        n = rng.randint(2, 4)
+        budget = Budget(step_factor=rng.randint(1, 2))
+        words, cut = brute_accepted(m, n, budget.scaled_steps(n))
+        e = cm.accepted_words(m, n, budget)
+        assert set(e.words) == words, seed
+        if not cut:
+            assert e.complete, seed
+        cuts.append(cut)
+        if e.explored >= 4:
+            part = cm.accepted_words(m, n, Budget(max_steps=e.explored // 2,
+                                                  step_factor=budget.step_factor))
+            assert not part.complete
+            assert part.explored == e.explored // 2 + 1
+            assert set(part.words) <= words
+    assert any(cuts) and not all(cuts)

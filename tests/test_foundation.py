@@ -138,9 +138,11 @@ DIAG = semilinear(linear((0, 0), (1, 1)))
 
 # One fixture per budgeted enumerator, with the number of nodes its
 # frontier draws: sentential forms (ETOL, matrix), (state, word) pairs
-# (witness), Σ^{<=n} (regex), exponent tuples (bounded spec); for the
-# counter machines, the simulator's charged expansions, which count the
-# acceptance probe's λ-walk only up to its first accepting state.
+# (witness), Σ^{<=n} (regex); for a bounded spec with Q1, the Q1 members
+# generated forward within the length, one per multiplier tuple (a
+# `parikh` spec draws every exponent tuple); for the counter machines,
+# the simulator's charged expansions, which count the acceptance probe's
+# λ-walk only up to its first accepting state.
 FRONTIER_PINS = [
     ("etol", fixtures.copy_language_reduced_etol, 7, 31, 15),
     ("matrix", fixtures.copy_language_matrix, 7, 22, 14),
@@ -149,7 +151,7 @@ FRONTIER_PINS = [
         edges=((0, ("a",), 1), (1, ("b",), 1), (1, ("b", "a"), 2), (2, ("a",), 0)),
     ), 7, 24, 6),
     ("regex", lambda: RegexLanguage("(ab)*", AB), 4, 31, 3),
-    ("bounded", lambda: fixtures.L3_SPEC, 16, 17, 2),
+    ("bounded", lambda: fixtures.L3_SPEC, 16, 3, 2),
     ("ncm", lambda: counter.from_semilinear(DIAG, AB), 6, 438, 29),
     ("dcm", lambda: counter.dcm_for_bounded(
         BoundedSpec((word("a"), word("b")), "ginsburg", q1=DIAG)), 8, 437, 5),

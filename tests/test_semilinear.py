@@ -2,14 +2,25 @@
 
 import random
 from itertools import combinations, permutations, product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from workbench.foundation import Alphabet, PreconditionError, enumerate_language, parikh, word
+from workbench.foundation import (
+    Alphabet,
+    Budget,
+    PreconditionError,
+    enumerate_language,
+    parikh,
+    word,
+)
 from workbench.semilinear import (
     BoundedSpec,
+    LinearSet,
     SemilinearSet,
+    _forward_members,
+    _tuples_within_length,
     induced_member,
     is_simple,
     linear,
@@ -248,6 +259,66 @@ def test_phi_image_equals_wordwise_filtering():
             if induced_member(spec, w):
                 via_filter.add(w)
     assert via_tuples == via_filter
+
+
+def test_spec_enumeration_stays_lazy_under_the_budget():
+    # six one-letter words and the six unit periods: every tuple within
+    # 10^6 letters is a member, far too many to list before the budget
+    units = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    spec = BoundedSpec([word(x) for x in "abcdef"], "ginsburg",
+                       q1=semilinear(linear((0,) * 6, *units)))
+    e = enumerate_language(spec, 10 ** 6, Budget(max_steps=1000))
+    assert not e.complete
+    assert e.explored == 1001
+
+
+def _random_linear(rng, dim):
+    periods = []
+    for _ in range(rng.randint(0, 3)):
+        p = tuple(rng.randint(0, 2) for _ in range(dim))
+        if any(p):
+            periods.append(p)
+    return LinearSet([rng.randint(0, 2) for _ in range(dim)], periods)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_forward_members_equal_the_member_scan(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)
+    words = [tuple(rng.choice("ab") for _ in range(rng.randint(1, 3))) for _ in range(dim)]
+    lens = [len(w) for w in words]
+    n = rng.randint(0, 14)
+    q = SemilinearSet([_random_linear(rng, dim) for _ in range(rng.randint(1, 3))])
+    want = {t for t in _tuples_within_length(words, n) if member(q, t)}
+    got = set()
+    for c in q.components:
+        got.update(_forward_members(c, lambda t: sum(map(mul, t, lens)) <= n))
+    assert got == want
+    e = enumerate_language(BoundedSpec(words, "ginsburg", q1=q), n)
+    assert e.complete
+    assert set(e.words) == {phi(words, t) for t in want}
+
+
+def box_scan(q, box):
+    """The semi-simplicity report by a member test on every point of the box."""
+    collisions = []
+    for v in product(range(box + 1), repeat=q.dim):
+        hits = [i for i, c in enumerate(q.components) if member(SemilinearSet([c]), v)]
+        collisions += [(a, b, v) for a, b in combinations(hits, 2)]
+        if len(collisions) >= 10:
+            break
+    flags = tuple(is_simple(c) for c in q.components)
+    return flags, tuple(collisions), all(flags) and not collisions
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_validate_semi_simple_equals_the_box_scan(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)
+    q = SemilinearSet([_random_linear(rng, dim) for _ in range(rng.randint(1, 4))])
+    box = rng.randint(1, 8)
+    rep = validate_semi_simple(q, box)
+    assert (rep.simple_flags, rep.collisions, rep.validated) == box_scan(q, box)
 
 
 def test_is_simple_examples():
