@@ -109,6 +109,8 @@ class CounterMachine:
                     if pat[i] == 0:
                         raise ValueError("decrement on zero counter %d" % i)
                 seen.add((p, moves))
+            # most rows have one target; a repr key on each of those doubles
+            # the time to build a dcm_for_bounded machine
             norm[(q, sym, pat)] = tuple(sorted(seen, key=repr)) if len(seen) > 1 else tuple(seen)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "states", states)
@@ -536,9 +538,11 @@ def decide_bounded(s1, s2, rel, injectivity_check_len=12):
     decompositions: one that lies in both languages proves phi is not
     injective.  A true ``disjoint`` verdict has no witness to check, so
     it needs words that form a code (Sardinas-Patterson), on which phi
-    is injective outright.  The decision reduces to the vector-automata
-    comparison of the two semilinear sets; a vector witness maps through
-    phi to a witness word.
+    is injective outright.  That is sufficient, not necessary: phi on
+    (a, ba, b) is injective, yet those words are no code, so a true
+    ``disjoint`` on them is refused too.  The decision reduces to the
+    vector-automata comparison of the two semilinear sets; a vector
+    witness maps through phi to a witness word.
     """
     if s1.kind != "ginsburg" or s2.kind != "ginsburg":
         raise PreconditionError("decide_bounded works on Ginsburg specs")

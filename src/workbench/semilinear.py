@@ -24,7 +24,9 @@ independent.
 Enumeration goes the other way: a ``ginsburg`` or ``ginsburg-parikh``
 spec, and the semi-simplicity box scan, generate each component's
 members forward (constant plus period multiples, clipped by length or
-box), lazily, so a budget cuts the generation itself.
+box), lazily and each vector once, so a budget cuts the generation
+itself and its cost grows with the members, not with the ways of
+reaching them.
 
 Exact arithmetic throughout; nothing here touches floats.
 """
@@ -41,6 +43,7 @@ from typing import NamedTuple
 from .foundation import (
     Alphabet,
     PreconditionError,
+    _breadth_first,
     _budgeted,
     decompositions,
     parikh,
@@ -190,25 +193,17 @@ def _search_free(periods, plan, j, rem):
     return False
 
 
-def _forward_members(ls, fits):
-    """The vectors constant + sum m_j p_j that ``fits`` accepts, lazily,
-    one per multiplier tuple (so a vector reached by two tuples comes
-    twice).  ``fits`` must reject v + p whenever it rejects v, for every
-    period p: the multiplier of a period stops growing at the first
-    vector that does not fit."""
+def _members_within(ls, fits):
+    """The vectors of ``ls`` that ``fits`` accepts, lazily, each once, in
+    breadth-first order from the constant.  ``fits`` must reject v + p
+    whenever it rejects v, for every period p, so that every fitting
+    member is reached through fitting ones."""
+    if not fits(ls.constant):
+        return iter(())
     periods = ls.periods
-
-    def rec(j, v):
-        if j == len(periods):
-            yield v
-            return
-        p = periods[j]
-        while fits(v):
-            yield from rec(j + 1, v)
-            v = tuple(map(add, v, p))
-
-    if fits(ls.constant):
-        yield from rec(0, ls.constant)
+    return _breadth_first(
+        ls.constant, lambda v: (tuple(map(add, v, p)) for p in periods), fits
+    )
 
 
 def member(q, v):
@@ -325,7 +320,10 @@ def _phi_collision(words, tuples):
 
 def _enumerate_bounded(spec, max_len, budget):
     """A ``parikh`` spec walks every exponent tuple within the length;
-    the other kinds draw Q1's members forward, so each node is a member."""
+    the other kinds draw Q1's members forward, so each node is a distinct
+    member.  A vector that a later component reaches again is skipped
+    uncharged; each component yields a vector once, so the skipped ones
+    number at most the components times the drawn ones."""
     words = spec.words
     if spec.kind == "parikh":
         nodes = _tuples_within_length(words, max_len)
@@ -335,7 +333,15 @@ def _enumerate_bounded(spec, max_len, budget):
         def fits(t):
             return sum(map(mul, t, lens)) <= max_len
 
-        nodes = (t for c in spec.q1.components for t in _forward_members(c, fits))
+        def members():
+            drawn = set()
+            for c in spec.q1.components:
+                for t in _members_within(c, fits):
+                    if t not in drawn:
+                        drawn.add(t)
+                        yield t
+
+        nodes = members()
 
     def word_of(t):
         w = phi(words, t)
@@ -420,7 +426,7 @@ def validate_semi_simple(q, box):
 
     owners = {}     # point of the box -> the components holding it
     for i, c in enumerate(q.components):
-        for v in set(_forward_members(c, fits)):
+        for v in _members_within(c, fits):
             owners.setdefault(v, []).append(i)
     collisions = []
     for v in sorted(v for v, hits in owners.items() if len(hits) > 1):

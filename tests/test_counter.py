@@ -271,6 +271,14 @@ def test_decide_bounded_disjoint_needs_a_code():
     assert cm.decide_bounded(BoundedSpec(code, "ginsburg", q1=semilinear(linear((7, 0)))),
                              BoundedSpec(code, "ginsburg", q1=semilinear(linear((0, 5)))),
                              "disjoint").holds
+    # being a code is sufficient, not necessary: phi on (a, ba, b) is
+    # injective (the leading a's and trailing b's fix t1 and t3), yet
+    # b.a = ba, so the verdict is refused all the same
+    aba = (word("a"), word("ba"), word("b"))
+    with pytest.raises(PreconditionError, match="phi-injectivity unknown"):
+        cm.decide_bounded(BoundedSpec(aba, "ginsburg", q1=semilinear(linear((1, 0, 0)))),
+                          BoundedSpec(aba, "ginsburg", q1=semilinear(linear((0, 0, 1)))),
+                          "disjoint")
     same = BoundedSpec(A5_A7, "ginsburg", q1=semilinear(linear((7, 0))))
     v = cm.decide_bounded(same, same, "disjoint")
     assert not v.holds and v.witness == ("a",) * 35

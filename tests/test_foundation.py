@@ -138,9 +138,9 @@ DIAG = semilinear(linear((0, 0), (1, 1)))
 
 # One fixture per budgeted enumerator, with the number of nodes its
 # frontier draws: sentential forms (ETOL, matrix), (state, word) pairs
-# (witness), Σ^{<=n} (regex); for a bounded spec with Q1, the Q1 members
-# generated forward within the length, one per multiplier tuple (a
-# `parikh` spec draws every exponent tuple); for the counter machines,
+# (witness), Σ^{<=n} (regex); for a bounded spec with Q1, the distinct Q1
+# members generated forward within the length (a `parikh` spec draws
+# every exponent tuple); for the counter machines,
 # the simulator's charged expansions, which count the acceptance probe's
 # λ-walk only up to its first accepting state.
 FRONTIER_PINS = [

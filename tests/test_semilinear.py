@@ -19,7 +19,7 @@ from workbench.semilinear import (
     BoundedSpec,
     LinearSet,
     SemilinearSet,
-    _forward_members,
+    _members_within,
     _tuples_within_length,
     induced_member,
     is_simple,
@@ -292,11 +292,25 @@ def test_forward_members_equal_the_member_scan(seed):
     want = {t for t in _tuples_within_length(words, n) if member(q, t)}
     got = set()
     for c in q.components:
-        got.update(_forward_members(c, lambda t: sum(map(mul, t, lens)) <= n))
+        drawn = list(_members_within(c, lambda t: sum(map(mul, t, lens)) <= n))
+        assert len(drawn) == len(set(drawn))
+        got.update(drawn)
     assert got == want
     e = enumerate_language(BoundedSpec(words, "ginsburg", q1=q), n)
     assert e.complete
+    assert e.explored == len(want)
     assert set(e.words) == {phi(words, t) for t in want}
+
+
+def test_spec_enumeration_draws_each_member_once():
+    # dependent periods reach a vector by many multiplier tuples, and
+    # overlapping components reach it again; each is one node all the same
+    a = [word("a")]
+    e = enumerate_language(BoundedSpec(a, "ginsburg", q1=semilinear(linear((0,), (1,), (2,)))), 1000)
+    assert e.complete and e.explored == 1001
+    six = linear((0,), *[(1,)] * 6)
+    e = enumerate_language(BoundedSpec(a, "ginsburg", q1=semilinear(six, six, linear((0,), (3,)))), 40)
+    assert e.complete and e.explored == 41 and len(e.words) == 41
 
 
 def box_scan(q, box):
@@ -337,6 +351,16 @@ def test_validate_semi_simple_collision():
     rep = validate_semi_simple(q, 5)
     assert not rep.validated
     assert rep.collisions and rep.collisions[0][2] == (0, 0)
+
+
+def test_validate_semi_simple_dependent_periods():
+    # six copies of one period reach x in C(x + 5, 5) ways; each point of
+    # the box is generated once, and the collisions stop after ten
+    q = semilinear(linear((0,), *[(1,)] * 6), linear((0,), (3,)))
+    rep = validate_semi_simple(q, 1000)
+    assert rep.simple_flags == (False, True)
+    assert rep.collisions == tuple((0, 1, (3 * i,)) for i in range(10))
+    assert not rep.validated
 
 
 def test_validate_semi_simple_parity_disjoint():
