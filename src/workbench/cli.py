@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -225,6 +226,15 @@ def dump_document(obj):
     return json.dumps(object_to_doc(obj), indent=2, sort_keys=True) + "\n"
 
 
+def _write_output(path, text):
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise PreconditionError("cannot write %s: %s" % (path, e.strerror or e)) from None
+    print("wrote %s" % path)
+
+
 def load_object(path):
     try:
         with open(path) as f:
@@ -372,9 +382,7 @@ def cmd_convert(args):
     print(_config_line(args, ["check-len=%d" % check, "to=%s" % args.to]))
     print("\n".join(report))
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(dump_document(out))
-        print("wrote %s" % args.out)
+        _write_output(args.out, dump_document(out))
     return 0 if same and passed else 1
 
 
@@ -391,14 +399,9 @@ def cmd_decide(args):
     if verdict.witness is not None:
         print("witness: %s" % show_word(verdict.witness))
     if args.dump_dir:
-        import os
-
         for name, spec in (("left", s1), ("right", s2)):
-            dfa = vecautomata.from_semilinear_set(spec.q1)
-            path = os.path.join(args.dump_dir, "%s-automaton.tsv" % name)
-            with open(path, "w") as f:
-                f.write(vecautomata.dump_tsv(dfa))
-            print("wrote %s" % path)
+            _write_output(os.path.join(args.dump_dir, "%s-automaton.tsv" % name),
+                         vecautomata.dump_tsv(vecautomata.from_semilinear_set(spec.q1)))
     return 0 if verdict.holds else 1
 
 
@@ -500,9 +503,7 @@ def cmd_regularize(args):
     print("construction: %s" % wit.provenance["construction"])
     print("verified Parikh multisets to length %d" % wit.provenance["verified_len"])
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(wit.dump_tsv())
-        print("wrote %s" % args.out)
+        _write_output(args.out, wit.dump_tsv())
     return 0
 
 

@@ -301,28 +301,38 @@ def accepted_words(m, max_len, budget=None):
     within reach.  A pair is walked in full when first met, so the
     simulator computes the memo entries, and charges the ``explored``
     steps, of the whole prefix tree; a prefix whose pair is dead is not
-    entered again.  A budget cut ends the walk.
+    entered again.  A budget cut ends the walk.  The walk keeps its own
+    stack, so no recursion limit bounds ``max_len``.
     """
     budget = budget or DEFAULT_BUDGET
     sim = Simulator(m, budget, max_len=max_len)
     out = []
     live = {}
     letters, by_id = m.alphabet.symbols, sim._by_id
-
-    def walk(w, sid, left):
-        found = sim.probe_id(sid)
-        if found:
-            out.append(w)
-        if left:
-            for a in letters:
-                nid = sim.extend_id(sid, a)
-                if by_id[nid] and live.get((nid, left - 1), True):
-                    found = walk(w + (a,), nid, left - 1) or found
-        live[(sid, left)] = found
-        return found
-
+    probe, extend = sim.probe_id, sim.extend_id
     try:
-        walk((), sim.start_id, max_len)
+        found = [probe(sim.start_id)]   # per frame: an accepted word lies below
+        if found[0]:
+            out.append(())
+        # frames: prefix, set id, letters left, the letters still to try
+        stack = [((), sim.start_id, max_len, iter(letters if max_len else ()))]
+        while stack:
+            w, sid, left, todo = stack[-1]
+            for a in todo:
+                nid = extend(sid, a)
+                if by_id[nid] and live.get((nid, left - 1), True):
+                    v = w + (a,)
+                    f = probe(nid)
+                    if f:
+                        out.append(v)
+                    found.append(f)
+                    stack.append((v, nid, left - 1, iter(letters if left > 1 else ())))
+                    break
+            else:
+                stack.pop()
+                f = live[(sid, left)] = found.pop()
+                if f and found:
+                    found[-1] = True
         complete = not sim.cap_prunes
     except BudgetExhausted:
         complete = False

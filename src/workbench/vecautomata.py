@@ -1,46 +1,40 @@
 """Decision backend for semilinear sets: synchronous multi-track base-2
-automata over N^k, compared by one lazy subset product.
+automata over N^k, built by one carry compiler.
 
 Vectors are encoded least-significant-digit first, one bit per track per
 step, all tracks in lockstep.  Every language here is *padding-closed*:
 appending all-zero digit tuples never changes acceptance, so the
 encoding length is never ambiguous.
 
-The solver core is the classic digit-by-digit construction for integer
-linear equations A·y = b: states are carry vectors, reading digit tuple
-d from carry r requires (r_i - (A·d)_i) even on every row and moves to
-(r - A·d)/2, and the zero carry accepts.  A·d is computed once per digit
-and the digits are bucketed by the parity vector of A·d, so carry r
-visits only the bucket keyed by r mod 2.  Inequalities are handled
-upstream by slack variables plus projection.
+The compiler is the classic digit-by-digit construction for integer
+linear equations A·y = b (``EquationSystem``): states are carry vectors,
+reading digit tuple d from carry r requires (r_i - (A·d)_i) even on every
+row and moves to (r - A·d)/2, and the zero carry accepts.  A·d is
+computed once per digit and the digits are bucketed by the parity vector
+of A·d, so carry r visits only the bucket keyed by r mod 2.  Each digit
+tuple is filed under its kept digits: the existential columns are erased
+as the system compiles, so the automaton is nondeterministic.  A linear
+set c + N{p_1..p_r} is x - Σ l_j·p_j = c with the multipliers l
+existential, and systems that keep the same tracks compile to one NFA
+(``_ErasedNFA``), the disjoint union of their carry automata.  A subset
+of its states accepts when it meets the *Z-set*, the states that reach
+an accepting carry along kept-zero digits: a kept-track vector may need
+zero padding before the wider erased tracks are done.
 
-A linear set c + N{p_1..p_r} is the solutions of x - Σ l_j·p_j = c with
-the multiplier tracks l erased.  Erasing tracks makes the carry
-automaton nondeterministic; a semilinear set is the disjoint union of
-its components' erased carry automata (``_ErasedNFA``).  A subset of
-its states accepts when it meets the *Z-set*: the states that reach an
-accepting carry along digits that are zero on every kept track.  That is
-the padding closure: a kept-track vector may need zero padding before
-the wider multipliers are done.
-
-``compare`` never determinizes a side in full.  It walks pairs
-(S1, S2) of subsets breadth first, computing subset successors lazily
-and caching them per side, and stops at the first pair that refutes the
-relation.  Breadth-first discovery in ``digit_tuples`` order reaches
-each pair first along its length-lex least digit string, so the witness
-is the length-lex least encoding in the refuting product: a function of
-the languages alone, the same vector the full chain
-``shortest_accepted(combine(from_semilinear_set(q1),
-from_semilinear_set(q2), op))`` returns.  That chain (``project``,
-``combine``, ``minimize``) stays for ``decide --dump-dir`` and as the
-test oracle; ``project`` determinizes with the same subset rows and
-Z-set acceptance, then minimizes.
+``compare`` walks pairs (S1, S2) of subsets of two such NFAs breadth
+first, computing subset successors lazily and caching them per side,
+and stops at the first pair that refutes the relation.  Discovery in
+``digit_tuples`` order reaches each pair first along its length-lex
+least digit string, so the witness is a function of the languages alone.
+The DFA side (``from_equations``) is the subset automaton of the same
+NFA, minimized; ``minimize`` is canonical, so equal languages give equal
+automata.  It serves ``decide --dump-dir``, and ``shortest_accepted`` of
+its ``combine`` products is the test oracle for ``compare``.
 
 Transition maps may be partial: ``n_states`` is the implicit dead state
 of every missing (state, digits) entry.  ``minimize`` and ``combine``
 read a missing entry as that state; ``minimize`` returns a total map.
 """
-
 from __future__ import annotations
 
 from collections import deque
@@ -68,9 +62,6 @@ class VectorDFA:
     initial: int
     transitions: dict
     accepting: frozenset
-
-    def step(self, state, digits):
-        return self.transitions.get((state, digits))
 
     def accepts_digits(self, digit_seq):
         q = self.initial
@@ -107,7 +98,8 @@ def decode_digits(digit_seq, tracks):
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Integer equations A·y = b; existential columns get projected away."""
+    """Integer equations A·y = b; the existential columns are erased when
+    the system is compiled."""
 
     matrix: tuple          # rows of integer coefficients
     rhs: tuple
@@ -137,22 +129,29 @@ class EquationSystem:
         return len(self.existential)
 
 
-def _carry_edges(eq, keys, first=0):
+def _carry_edges(eq, first=0):
     """Compile the carry automaton of A·y = b, depth first from the carry b.
 
-    ``keys`` files each digit tuple over all variables, in
-    ``digit_tuples`` order, under its row key.  States are numbered from
-    ``first``.  Returns (edges, end, zero): the edges (q, key, t) in the
-    order they are built, one past the last state number, and the state
-    of the zero carry (the accepting one), or None when no reachable
-    carry is zero.
+    Each digit tuple over all variables is filed under the index of its
+    kept digits (the columns that are not existential) in
+    ``digit_tuples`` order.  States are numbered from ``first``.  Returns
+    (edges, end, zero): the edges (q, kept index, t) in the order they
+    are built, one past the last state number, and the state of the zero
+    carry (the accepting one), or None when no reachable carry is zero.
     """
     rows = eq.matrix
     odd, halve = (1).__and__, (1).__rrshift__
-    # A·d for every digit tuple, one column at a time, in digit_tuples order
-    ads = [(0,) * len(rows)]
-    for column in [tuple(row[j] for row in rows) for j in range(eq.n_vars)]:
-        ads = [v for ad in ads for v in (ad, tuple(map(add, ad, column)))]
+    # A·d and the kept index of every digit tuple in digit_tuples order,
+    # last column first: column j's digit 1 is the upper half of the list
+    ads, keys, width = [(0,) * len(rows)], [0], 1
+    for j in reversed(range(eq.n_vars)):
+        column = tuple(row[j] for row in rows)
+        ads += [tuple(map(add, ad, column)) for ad in ads]
+        if eq.existential[j]:
+            keys *= 2
+        else:
+            keys += [k + width for k in keys]
+            width *= 2
     buckets = {}
     for key, ad in zip(keys, ads):
         buckets.setdefault(tuple(map(odd, ad)), []).append((key, tuple(map(halve, ad))))
@@ -174,22 +173,6 @@ def _carry_edges(eq, keys, first=0):
     return edges, first + len(index), index.get((0,) * len(rows))
 
 
-def from_equations(eq):
-    """DFA over all variables accepting encodings of solutions of A·y = b."""
-    edges, n_states, zero = _carry_edges(eq, digit_tuples(eq.n_vars))
-    transitions = {(q, d): t for q, d, t in edges}
-    accepting = frozenset() if zero is None else frozenset([zero])
-    return VectorDFA(eq.n_vars, n_states, 0, transitions, accepting)
-
-
-def _digit_index(d):
-    """Position of a digit tuple in ``digit_tuples`` order."""
-    i = 0
-    for bit in d:
-        i = 2 * i + bit
-    return i
-
-
 def _closure(targets, preds):
     """Bitmask of the states that reach ``targets`` along ``preds`` edges."""
     seen = set(targets)
@@ -206,17 +189,20 @@ class _ErasedNFA:
     """Nondeterministic automaton over kept digit tuples, determinized on
     demand.
 
-    Built from edges (q, i, t), i the index of the kept digit tuple in
-    ``digit_tuples`` order.  States that cannot reach an accepting state
-    are dropped.  The Z-set holds the states that reach an accepting
-    state along kept-zero digits (index 0).  A subset of states, kept as
-    the bitmask of its members, is numbered when first seen: ``masks``
-    lists them, the empty (dead) subset is 0, and ``accepts[s]`` says
-    whether subset s meets the Z-set.  ``successors(s)`` is the row of
-    successor subsets, one per kept digit tuple, computed once.
+    Built from edges (q, i, t) over ``tracks`` kept tracks, i the index of
+    the kept digit tuple in ``digit_tuples`` order.  States that cannot
+    reach an accepting state are dropped.  The Z-set holds the states that
+    reach an accepting state along kept-zero digits (index 0).  A subset
+    of states, kept as the bitmask of its members, is numbered when first
+    seen: ``masks`` lists them, the empty (dead) subset is 0, and
+    ``accepts[s]`` says whether subset s meets the Z-set.
+    ``successors(s)`` is the row of successor subsets, one per kept digit
+    tuple, computed once.
     """
 
-    def __init__(self, n_states, width, edges, initial, accepting):
+    def __init__(self, n_states, tracks, edges, initial, accepting):
+        self.tracks = tracks
+        width = 2 ** tracks
         preds = [[] for _ in range(n_states)]
         zero_preds = [[] for _ in range(n_states)]
         for q, i, t in edges:
@@ -253,6 +239,39 @@ class _ErasedNFA:
                 rest ^= low
             row = self._table[s] = list(map(self._number, masks))
         return row
+
+
+def _erased_nfa(systems):
+    """The disjoint union of the systems' carry automata, each with its
+    existential tracks erased: one NFA over their common kept tracks."""
+    systems = tuple(systems)
+    tracks = {eq.existential.count(False) for eq in systems}
+    if len(tracks) != 1:
+        raise PreconditionError("the systems must keep one common number of tracks")
+    edges, initial, accepting = [], [], []
+    n = 0
+    for eq in systems:
+        initial.append(n)
+        part, n, zero = _carry_edges(eq, n)
+        edges += part
+        if zero is not None:
+            accepting.append(zero)
+    return _ErasedNFA(n, tracks.pop(), edges, initial, accepting)
+
+
+def from_equations(*systems):
+    """Minimal DFA over the kept tracks of the systems, accepting the
+    vectors that extend to a solution of at least one of them: the subset
+    automaton of their erased NFA."""
+    nfa = _erased_nfa(systems)
+    alphabet = digit_tuples(nfa.tracks)
+    transitions = {}
+    s = nfa.initial
+    while s < len(nfa.masks):       # each row numbers the subsets it meets
+        transitions.update(((s, d), t) for d, t in zip(alphabet, nfa.successors(s)))
+        s += 1
+    accepting = frozenset(s for s, hit in enumerate(nfa.accepts) if hit)
+    return minimize(VectorDFA(nfa.tracks, len(nfa.masks), nfa.initial, transitions, accepting))
 
 
 def minimize(dfa):
@@ -309,59 +328,6 @@ def minimize(dfa):
     return VectorDFA(dfa.tracks, len(order), 0, transitions, accepting)
 
 
-def equivalent(m1, m2):
-    """Language equality via canonical minimal forms."""
-    if m1.tracks != m2.tracks:
-        raise PreconditionError("track count mismatch")
-    a, b = minimize(m1), minimize(m2)
-    return (
-        a.n_states == b.n_states
-        and a.accepting == b.accepting
-        and a.transitions == b.transitions
-    )
-
-
-def project(dfa, drop):
-    """Existentially project away the given tracks.
-
-    Subset construction over the digit-erased nondeterministic automaton;
-    a subset accepts when it meets the Z-set (states that reach an
-    accepting state along digits that are zero on every kept track), so
-    a kept-track vector whose dropped tracks need zero padding accepts.
-    Minimized.
-    """
-    drop = frozenset(drop)
-    if not drop <= set(range(dfa.tracks)):
-        raise PreconditionError("dropped tracks outside automaton")
-    keep = [t for t in range(dfa.tracks) if t not in drop]
-    kept = {d: _digit_index([d[i] for i in keep]) for d in digit_tuples(dfa.tracks)}
-    edges = [(q, kept[d], t) for (q, d), t in dfa.transitions.items()]
-    nfa = _ErasedNFA(dfa.n_states, 2 ** len(keep), edges, [dfa.initial], dfa.accepting)
-    alphabet = digit_tuples(len(keep))
-    order = [nfa.initial]
-    seen = set(order)
-    transitions = {}
-    for s in order:
-        for kd, t in zip(alphabet, nfa.successors(s)):
-            if t:
-                transitions[(s, kd)] = t
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-    accepting = frozenset(s for s in order if nfa.accepts[s])
-    return minimize(VectorDFA(len(keep), len(nfa.masks), nfa.initial, transitions, accepting))
-
-
-def universe(tracks):
-    trans = {(0, d): 0 for d in digit_tuples(tracks)}
-    return VectorDFA(tracks, 1, 0, trans, frozenset([0]))
-
-
-def empty(tracks):
-    trans = {(0, d): 0 for d in digit_tuples(tracks)}
-    return VectorDFA(tracks, 1, 0, trans, frozenset())
-
-
 def combine(m1, m2, op):
     """Product construction with boolean acceptance; minimized."""
     if m1.tracks != m2.tracks:
@@ -394,14 +360,6 @@ def combine(m1, m2, op):
         if hit:
             accepting.add(num)
     return minimize(VectorDFA(m1.tracks, len(order), 0, transitions, frozenset(accepting)))
-
-
-def complement(m):
-    return combine(universe(m.tracks), m, "difference")
-
-
-def is_empty(m):
-    return shortest_accepted(m) is None
 
 
 def shortest_accepted(m):
@@ -439,39 +397,8 @@ def _linear_equations(ls):
     return EquationSystem(rows, ls.constant, (False,) * k + (True,) * r)
 
 
-def from_linear(ls):
-    """DFA over k tracks accepting exactly the members of a linear set:
-    the carry automaton of its equations, multiplier tracks projected
-    away."""
-    dfa = from_equations(_linear_equations(ls))
-    if not ls.periods:
-        return minimize(dfa)
-    return project(dfa, set(range(ls.dim, dfa.tracks)))
-
-
 def from_semilinear_set(q):
-    out = None
-    for comp in q.components:
-        m = from_linear(comp)
-        out = m if out is None else combine(out, m, "union")
-    return out
-
-
-def _erased_nfa(q):
-    """The disjoint union of the components' carry automata, each with
-    its multiplier tracks erased: one NFA over the k kept tracks."""
-    edges, initial, accepting = [], [], []
-    n = 0
-    for ls in q.components:
-        # the kept tracks lead, so a digit's kept index drops its r low bits
-        r = len(ls.periods)
-        keys = [j >> r for j in range(2 ** (q.dim + r))]
-        initial.append(n)
-        part, n, zero = _carry_edges(_linear_equations(ls), keys, n)
-        edges += part
-        if zero is not None:
-            accepting.append(zero)
-    return _ErasedNFA(n, 2 ** q.dim, edges, initial, accepting)
+    return from_equations(*map(_linear_equations, q.components))
 
 
 def _pairs(a, b, parent, live):
@@ -506,7 +433,7 @@ def compare(q1, q2, rel):
         raise ValueError("rel must be equal/subset/disjoint")
     if q1.dim != q2.dim:
         raise PreconditionError("dimension mismatch")
-    a, b = _erased_nfa(q1), _erased_nfa(q2)
+    a, b = (_erased_nfa(map(_linear_equations, q.components)) for q in (q1, q2))
     later = None        # the first L2 - L1 pair, for equal
 
     def live(pair):

@@ -283,6 +283,59 @@ def test_convert_out_writes_the_result_document(docs, capsys, tmp_path):
     assert cli.dump_document(result) == (tmp_path / "out.json").read_text()
 
 
+def _dump_dir_specs(tmp_path):
+    words = (word("a"), word("b"))
+    diag = semilinear(linear((0, 0), (1, 1)))
+    upper = semilinear(linear((0, 0), (1, 1), (0, 1)))
+    return (_write(tmp_path, "diag.json", BoundedSpec(words, "ginsburg", q1=diag)),
+            _write(tmp_path, "upper.json", BoundedSpec(words, "ginsburg", q1=upper)))
+
+
+def test_decide_dump_dir_writes_both_automata(tmp_path, capsys):
+    # {a^n b^n} within {a^m b^n : m <= n}; the dumps are the minimal DFAs
+    # of x = y and x <= y, least significant digit first
+    left, right = _dump_dir_specs(tmp_path)
+    rc, out, err = _run({}, ["decide", left, right, "--relation", "subset",
+                             "--dump-dir", str(tmp_path)], capsys)
+    assert (rc, err) == (0, "")
+    paths = [str(tmp_path / ("%s-automaton.tsv" % side)) for side in ("left", "right")]
+    assert out.splitlines()[-3:] == ["verdict: True"] + ["wrote %s" % p for p in paths]
+    header = "tracks\t2\nstates\t2\ninitial\t0\naccepting\t0\n"
+    assert (tmp_path / "left-automaton.tsv").read_text() == header + (
+        "0\t00\t0\n0\t01\t1\n0\t10\t1\n0\t11\t0\n1\t00\t1\n1\t01\t1\n1\t10\t1\n1\t11\t1\n")
+    assert (tmp_path / "right-automaton.tsv").read_text() == header + (
+        "0\t00\t0\n0\t01\t0\n0\t10\t1\n0\t11\t0\n1\t00\t1\n1\t01\t0\n1\t10\t1\n1\t11\t1\n")
+
+
+def _unwritable(tmp_path):
+    return str(tmp_path / "missing" / "out")
+
+
+def test_convert_out_unwritable_path_exits_2(docs, capsys, tmp_path):
+    rc, out, err = _run(docs, ["convert", "abn", "--to", "reduced", "--check-len", "6",
+                               "--out", _unwritable(tmp_path)], capsys)
+    assert rc == 2
+    assert "wrote" not in out
+    assert err.startswith("error: cannot write %s: " % _unwritable(tmp_path))
+
+
+def test_regularize_out_unwritable_path_exits_2(docs, capsys, tmp_path):
+    rc, out, err = _run(docs, ["regularize", "abn", "--index", "1",
+                               "--out", _unwritable(tmp_path)], capsys)
+    assert rc == 2
+    assert "wrote" not in out
+    assert err.startswith("error: cannot write %s: " % _unwritable(tmp_path))
+
+
+def test_decide_dump_dir_unwritable_path_exits_2(tmp_path, capsys):
+    left, right = _dump_dir_specs(tmp_path)
+    rc, out, err = _run({}, ["decide", left, right, "--relation", "subset",
+                             "--dump-dir", _unwritable(tmp_path)], capsys)
+    assert rc == 2
+    assert "wrote" not in out
+    assert err.startswith("error: cannot write %s/left-automaton.tsv: " % _unwritable(tmp_path))
+
+
 def test_convert_rows_call_the_library_at_call_time(docs, capsys, monkeypatch):
     # a wrong construction must read as a failed check (exit 1); patching
     # the module attribute reaches the conversion table, as a tracer's does

@@ -349,6 +349,40 @@ def test_counter_cap_prune_is_not_a_rejection():
         cm.accepts(m, (), Budget(step_factor=32))
 
 
+def pump_machine(n):
+    """One counter pumped to exactly n along a λ-chain, then counted down
+    to zero on a λ-loop: L = {λ}, accepted only with a counter at n."""
+    trans = {("u0", None, (0,)): (("u1", (1,)),)}
+    for i in range(1, n):
+        trans[("u%d" % i, None, (1,))] = (("u%d" % (i + 1), (1,)),)
+    trans[("u%d" % n, None, (1,))] = (("down", (-1,)),)
+    trans[("down", None, (1,))] = (("down", (-1,)),)
+    trans[("down", cm.END, (0,))] = (("acc", (0,)),)
+    states = ["u%d" % i for i in range(n + 1)] + ["down", "acc"]
+    return cm.CounterMachine(1, states, "u0", {"acc"}, Alphabet("a"), trans)
+
+
+def test_counter_cap_boundary_admits_a_counter_at_the_cap():
+    # the cap is step_factor * (n + 1): 6 at max_len 0, 12 for accepts(())
+    budget = Budget(step_factor=6)
+    at_cap = cm.accepted_words(pump_machine(6), 0, budget)
+    assert (at_cap.words, at_cap.complete) == ([()], True)
+    past_cap = cm.accepted_words(pump_machine(7), 0, budget)
+    assert (past_cap.words, past_cap.complete) == ([], False)
+    assert cm.accepts(pump_machine(12), (), budget)
+    with pytest.raises(BudgetExhausted):
+        cm.accepts(pump_machine(13), (), budget)
+
+
+def test_accepted_words_past_the_recursion_limit():
+    # one state reading a*: the prefix walk is 1,500 letters deep
+    trans = {("q", "a", (0,)): (("q", (0,)),), ("q", cm.END, (0,)): (("q", (0,)),)}
+    m = cm.CounterMachine(1, ["q"], "q", {"q"}, Alphabet("a"), trans)
+    e = cm.accepted_words(m, 1500)
+    assert e.complete
+    assert e.words == [("a",) * n for n in range(1501)]
+
+
 def brute_accepted(m, max_len, cap):
     """(accepted words, whether the cap cut a run) by a separate run
     search for every word of length <= max_len, read off the transition

@@ -11,6 +11,12 @@ from workbench.semilinear import linear, member, semilinear
 from workbench import vecautomata as va
 
 
+def _universe(tracks):
+    """The minimal automaton of all of N^tracks."""
+    return va.VectorDFA(tracks, 1, 0, {(0, d): 0 for d in va.digit_tuples(tracks)},
+                        frozenset([0]))
+
+
 def test_from_equations_difference():
     # x1 - x2 = 0
     eq = va.EquationSystem([(1, -1)], (0,))
@@ -34,7 +40,7 @@ def test_from_equations_no_equations_is_universe(n):
     # every digit tuple solves the empty system
     eq = va.EquationSystem([], [], (False,) * n)
     assert eq.n_vars == n
-    assert va.equivalent(va.from_equations(eq), va.universe(n))
+    assert va.from_equations(eq) == _universe(n)
 
 
 def test_from_equations_double():
@@ -47,7 +53,7 @@ def test_from_equations_double():
 
 
 def test_padding_never_changes_acceptance():
-    m = va.from_linear(linear((1, 2), (1, 1), (0, 1)))
+    m = va.from_semilinear_set(semilinear(linear((1, 2), (1, 1), (0, 1))))
     for v in product(range(6), repeat=2):
         base = va.encode_vector(v, width=4)
         for extra in range(3):
@@ -56,15 +62,17 @@ def test_padding_never_changes_acceptance():
 
 
 def test_project_equal_onto_single_track():
+    # the existential track is erased as the system is compiled
     eq = va.EquationSystem([(1, -1)], (0,), (False, True))
-    m = va.project(va.from_equations(eq), {1})
+    m = va.from_equations(eq)
+    assert m.tracks == 1
     for x in range(20):
         assert m.accepts_vector((x,))
 
 
 def test_project_double_onto_evens():
     eq = va.EquationSystem([(1, -2)], (0,), (False, True))
-    m = va.project(va.from_equations(eq), {1})
+    m = va.from_equations(eq)
     for x in range(33):
         assert m.accepts_vector((x,)) == (x % 2 == 0)
 
@@ -73,17 +81,20 @@ def test_project_padding_closure():
     # y = x + 4: the dropped track is wider than x, so the kept encoding of
     # x accepts only after the zero-digit closure
     eq = va.EquationSystem([(1, -1)], (-4,), (False, True))
-    m = va.project(va.from_equations(eq), {1})
+    m = va.from_equations(eq)
     for x in range(20):
         assert m.accepts_vector((x,))
 
 
+# x - l·(1, 1) = (1, 1), and x - y = 0 with x - y = 1, every track erased
+ALL_ERASED = va.EquationSystem([(1, 0, -1), (0, 1, -1)], (1, 1), (True,) * 3)
+NO_SOLUTION = va.EquationSystem([(1, -1), (1, -1)], (0, 1), (True, True))
+
+
 def test_project_everything_keeps_emptiness():
-    nonempty = va.from_linear(linear((1, 1), (1, 1)))
-    m0 = va.project(nonempty, {0, 1})
-    assert not va.is_empty(m0)
-    empty2 = va.combine(nonempty, nonempty, "difference")
-    assert va.is_empty(va.project(empty2, {0, 1}))
+    m0 = va.from_equations(ALL_ERASED)
+    assert m0.tracks == 0 and va.shortest_accepted(m0) == ()
+    assert va.shortest_accepted(va.from_equations(NO_SOLUTION)) is None
 
 
 DIAG = semilinear(linear((0, 0), (1, 1)))
@@ -101,7 +112,7 @@ FIXTURES = [
 
 
 def test_from_linear_examples():
-    m = va.from_linear(linear((0, 0), (1, 1)))
+    m = va.from_semilinear_set(DIAG)
     assert m.accepts_vector((3, 3))
     assert not m.accepts_vector((3, 2))
 
@@ -110,7 +121,7 @@ def test_from_linear_examples():
     assert m3.accepts_vector((2, 3, 4))
     assert not m3.accepts_vector((2, 2, 3))
 
-    point = va.from_linear(linear((0,)))
+    point = va.from_semilinear_set(semilinear(linear((0,))))
     for x in range(8):
         assert point.accepts_vector((x,)) == (x == 0)
 
@@ -124,20 +135,20 @@ def test_membership_matches_semilinear_member_on_box():
 
 
 def test_combine_examples():
-    m_diag = va.from_linear(linear((0, 0), (1, 1)))
-    m_double = va.from_linear(linear((0, 0), (1, 2)))
+    m_diag = va.from_semilinear_set(DIAG)
+    m_double = va.from_semilinear_set(semilinear(linear((0, 0), (1, 2))))
     inter = va.combine(m_diag, m_double, "intersection")
     for v in product(range(12), repeat=2):
         assert inter.accepts_vector(v) == (v == (0, 0))
 
-    nothing = va.empty(2)
-    assert va.equivalent(va.combine(m_diag, nothing, "union"), m_diag)
-    assert va.is_empty(va.combine(m_diag, m_diag, "difference"))
+    nothing = va.combine(_universe(2), _universe(2), "difference")
+    assert va.combine(m_diag, nothing, "union") == m_diag
+    assert va.shortest_accepted(va.combine(m_diag, m_diag, "difference")) is None
 
 
 def test_combine_track_mismatch():
     with pytest.raises(PreconditionError):
-        va.combine(va.universe(1), va.universe(2), "union")
+        va.combine(_universe(1), _universe(2), "union")
 
 
 def _random_set(rng, dim):
@@ -159,24 +170,28 @@ def test_boolean_algebra_laws_on_random_pairs():
         dim = rng.randrange(1, 3)
         a = va.from_semilinear_set(_random_set(rng, dim))
         b = va.from_semilinear_set(_random_set(rng, dim))
-        # De Morgan: ~(A ∪ B) = ~A ∩ ~B
-        lhs = va.complement(va.combine(a, b, "union"))
-        rhs = va.combine(va.complement(a), va.complement(b), "intersection")
-        assert va.equivalent(lhs, rhs)
+        # De Morgan: ~(A ∪ B) = ~A ∩ ~B; combine minimizes, so equal
+        # languages give equal automata
+        u = _universe(dim)
+        lhs = va.combine(u, va.combine(a, b, "union"), "difference")
+        rhs = va.combine(va.combine(u, a, "difference"), va.combine(u, b, "difference"),
+                         "intersection")
+        assert lhs == rhs
         # idempotence and absorption
-        assert va.equivalent(va.combine(a, a, "union"), a)
-        assert va.equivalent(va.combine(a, a, "intersection"), a)
-        assert va.equivalent(va.combine(a, va.combine(a, b, "intersection"), "union"), a)
+        assert va.combine(a, a, "union") == a
+        assert va.combine(a, a, "intersection") == a
+        assert va.combine(a, va.combine(a, b, "intersection"), "union") == a
 
 
 def test_minimization_is_canonical_across_pipelines():
-    # same diagonal set built two ways yields structurally equal minimal DFAs
-    direct = va.from_linear(linear((0, 0), (1, 1)))
+    # the diagonal built three ways, as x = y over both tracks, as one
+    # linear set and as a union of two, yields one minimal DFA
+    direct = va.from_equations(va.EquationSystem([(1, -1)], (0,)))
     split = va.from_semilinear_set(
         semilinear(linear((0, 0), (2, 2)), linear((1, 1), (2, 2)))
     )
-    a, b = va.minimize(direct), va.minimize(split)
-    assert a.transitions == b.transitions and a.accepting == b.accepting
+    assert direct == va.from_semilinear_set(DIAG) == split
+    assert va.minimize(direct) == direct
 
 
 def test_compare_examples():
@@ -227,14 +242,15 @@ def test_compare_equal_is_equivalence_on_fixtures():
 
 
 def test_zero_track_projection_nonempty_iff_original():
-    m = va.from_linear(linear((2,), (3,)))
-    zerod = va.project(m, {0})
-    assert not va.is_empty(zerod)
+    # x - 3l = 2 has solutions, 3x - 3l = 2 has none; both tracks erased
+    assert va.shortest_accepted(va.from_equations(
+        va.EquationSystem([(1, -3)], (2,), (True, True)))) == ()
+    assert va.shortest_accepted(va.from_equations(
+        va.EquationSystem([(3, -3)], (2,), (True, True)))) is None
 
 
 def test_dump_tsv_roundtrips_basic_fields():
-    m = va.minimize(va.from_linear(linear((0, 0), (1, 1))))
-    text = va.dump_tsv(m)
+    text = va.dump_tsv(va.from_semilinear_set(DIAG))
     assert text.startswith("tracks\t2\n")
     assert "initial\t0" in text
 
@@ -262,8 +278,16 @@ def _reference_from_equations(eq):
     return index, transitions
 
 
+def _reference_dfa(eq):
+    """The per-digit construction as a DFA over all variables."""
+    index, transitions = _reference_from_equations(eq)
+    zero = (0,) * len(eq.rhs)
+    return va.VectorDFA(eq.n_vars, len(index), 0, transitions,
+                        frozenset([index[zero]] if zero in index else []))
+
+
 def _seeded_systems(rng, count):
-    """from_linear-shaped systems x - sum(l_j p_j) = c, then general ones."""
+    """Linear-set-shaped systems x - sum(l_j p_j) = c, then general ones."""
     for _ in range(count):
         k = rng.randrange(1, 4)
         r = rng.randrange(0, 7 - k)
@@ -282,12 +306,27 @@ def _seeded_systems(rng, count):
 
 def test_from_equations_matches_per_digit_reference():
     for eq in _seeded_systems(random.Random(11), 25):
-        m = va.from_equations(eq)
+        # the carry compiler builds the reference's edges, in its order
         index, transitions = _reference_from_equations(eq)
-        assert m.n_states == len(index)
-        assert list(m.transitions.items()) == list(transitions.items())
-        zero = (0,) * len(eq.rhs)
-        assert m.accepting == ({index[zero]} if zero in index else set())
+        edges, end, zero = va._carry_edges(eq)
+        alphabet = va.digit_tuples(eq.n_vars)
+        assert end == len(index)
+        assert [((q, alphabet[i]), t) for q, i, t in edges] == list(transitions.items())
+        assert zero == index.get((0,) * len(eq.rhs))
+        assert va.from_equations(eq) == va.minimize(_reference_dfa(eq))
+
+
+def test_from_equations_is_the_union_of_its_systems():
+    systems = list(_seeded_systems(random.Random(13), 10))
+    pairs = [(a, b) for a, b in zip(systems, systems[1:]) if a.n_vars == b.n_vars]
+    assert len(pairs) >= 3
+    for a, b in pairs:
+        union = va.combine(va.from_equations(a), va.from_equations(b), "union")
+        assert va.from_equations(a, b) == union
+    with pytest.raises(PreconditionError):
+        va.from_equations(va.EquationSystem([(1, -1)], (0,)), va.EquationSystem([(1,)], (0,)))
+    with pytest.raises(PreconditionError):
+        va.from_equations()
 
 
 # Partial automata with no explicit sink.  PARTIAL (one track): 0 loops on
@@ -330,7 +369,7 @@ def test_partial_automata_read_missing_entries_as_dead(m, minimal_states):
     # unreachable states dropped; dead ends and missing entries share one state
     assert mini.n_states == minimal_states
     assert len(mini.transitions) == mini.n_states * 2 ** m.tracks
-    other = va.from_linear(linear((1,) * m.tracks, (1,) * m.tracks))
+    other = va.from_semilinear_set(semilinear(linear((1,) * m.tracks, (1,) * m.tracks)))
     for a, b in ((m, other), (other, m), (m, m)):
         for op, fn in OPS.items():
             c = va.combine(a, b, op)
@@ -401,24 +440,25 @@ def _reference_project(dfa, drop):
     return va.minimize(va.VectorDFA(len(keep), len(order), 0, transitions, frozenset(accepting)))
 
 
-def _projection_cases():
+def _erasure_cases():
     # the padding-closure cases above: x = y, x = 2y, y = x + 4, then
-    # projections of every track, of a difference, and of a one-track set
+    # systems with every track erased, and seeded systems with
+    # arbitrary existential columns
     for row, rhs in (((1, -1), 0), ((1, -2), 0), ((1, -1), -4)):
-        yield va.from_equations(va.EquationSystem([row], (rhs,), (False, True))), {1}
-    nonempty = va.from_linear(linear((1, 1), (1, 1)))
-    yield nonempty, {0, 1}
-    yield va.combine(nonempty, nonempty, "difference"), {0, 1}
-    yield va.from_linear(linear((2,), (3,))), {0}
+        yield va.EquationSystem([row], (rhs,), (False, True))
+    yield ALL_ERASED
+    yield NO_SOLUTION
+    yield va.EquationSystem([(1, -3)], (2,), (True, True))
     rng = random.Random(17)
     for eq in _seeded_systems(rng, 15):
-        drop = {t for t in range(eq.n_vars) if rng.random() < 0.5}
-        yield va.from_equations(eq), drop
+        yield va.EquationSystem(eq.matrix, eq.rhs, [rng.random() < 0.5 for _ in range(eq.n_vars)])
 
 
 def test_project_zset_acceptance_matches_the_padding_repair():
-    for dfa, drop in _projection_cases():
-        assert va.project(dfa, drop) == _reference_project(dfa, drop), drop
+    # erasing while compiling equals projecting the full carry DFA
+    for eq in _erasure_cases():
+        drop = {t for t, erased in enumerate(eq.existential) if erased}
+        assert va.from_equations(eq) == _reference_project(_reference_dfa(eq), drop), eq
 
 
 def _ladder_pair(rng, k, r, rel, true):
