@@ -24,6 +24,7 @@ error (a malformed or unreadable document included), 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -452,6 +453,9 @@ def cmd_audit(args):
             "index <= %s over explored region (complete=%s, %d words)"
             % (audit.grammar_index, audit.complete, len(audit.per_word))
         )
+        if not audit.complete:
+            print("warning: index audit incomplete (budget exhausted)", file=sys.stderr)
+            return 3
         return 0
     if args.kind == "ambiguity":
         if type(obj) not in _COUNTS:
@@ -578,15 +582,23 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`main`, built on first use (once per process)."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        for name in ("max_len", "check_len", "count", "audit_len", "verify_len"):
+        for name in ("steps", "max_len", "check_len", "count", "audit_len", "verify_len"):
             if getattr(args, name, 0) < 0:
                 raise PreconditionError("--%s must be >= 0" % name.replace("_", "-"))
         if getattr(args, "max_order", 1) < 1:
             raise PreconditionError("--max-order must be >= 1")
-        return args.fn(args)
+        # the cached parser keeps the commands it was built with; look each
+        # up at call time, so a wrapper installed on its name sees the call
+        return globals()[args.fn.__name__](args)
     except PreconditionError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

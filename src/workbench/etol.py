@@ -19,12 +19,17 @@ Each grammar (an :class:`EtolSystem` here, a ``matrix.MatrixGrammar``
 there) holds one successor table, :class:`_Successors`, filled the first
 time a form is expanded and kept as long as the grammar object lives;
 grammars are never mutated after construction, so an entry never goes
-stale.  Per form it keeps every rule's successors in (len, w) order for
+stale.  Per form it keeps the rules' successors in (len, w) order for
 the enumerators and the edges (successor, multiplicity summed over the
 rules) for the derivation counters; per distinct successor it keeps the
 least yield and the persistent-symbol projection the counters prune
 with.  An enumeration, an index audit and every per-word count on the
-same grammar therefore expand each form once.
+same grammar therefore expand each form once.  Equal rules form one
+group, expanded once per form and counted once per rule.  Every reader
+drops a successor of infinite least yield, so an ETOL table folds only
+its live right-hand sides (those of finite least yield) and stops at the
+first position that has none; two tables with the same live productions
+are equal rules.
 
 One counter serves every derivation count in the workbench:
 :func:`_count_paths` counts the weighted paths from a start form to a
@@ -129,15 +134,29 @@ class EtolSystem:
     @cached_property
     def _successors(self):
         """The successor table, filled on first use (see ``_Successors``).
+
+        A table's rule is its live productions: per symbol, the right-hand
+        sides of finite least yield (a reduced system's terminals copy
+        themselves), so tables with equal live productions form one group.
         Terminal words are final in reduced systems, so their terminals
         persist; plain systems rewrite everything but inactive symbols."""
+        yields = min_yield_map(self)
+        copies = {a: ((a,),) for a in self.sigma} if self.reduced else {}
+        live = []
+        for t in self.tables:
+            rule = dict(copies)
+            for x, rhss in t.items():
+                rhss = tuple(r for r in rhss if sum(yields[s] for s in r) < INF)
+                if rhss:
+                    rule[x] = rhss
+            live.append(rule)
         if self.reduced:
             persistent = self._sset
         else:
             persistent = (self._vset | self._sset) - self.active_symbols()
         return _Successors(
-            lambda s, ti: step_with_multiplicity(self, s, ti), len(self.tables),
-            min_yield_map(self), persistent,
+            lambda s, ti: _fold(live[ti].get(x, ()) for x in s),
+            [frozenset(rule.items()) for rule in live], yields, persistent,
         )
 
     def __repr__(self):
@@ -155,18 +174,27 @@ def _by_len(w):
 class _Successors:
     """One grammar's successor table, filled as forms are first expanded.
 
-    ``expand(form, rule)`` gives one rule's {successor: multiplicity}
-    dict.  Per form the table keeps the successors rule after rule, each
-    rule's in (len, w) order (``ordered``, for the enumerators), and the
-    edges (successor, multiplicity summed over the rules, least yield,
-    persistent projection) for the derivation counters.  ``info`` keeps
-    the last two per distinct successor: the sum of ``yields`` over its
-    symbols and the subsequence of its ``persistent`` symbols.
+    ``rules`` holds one hashable key per rule, and rules with equal keys
+    form one group.  ``expand(form, index)`` gives the {successor:
+    multiplicity} dict of the rule at ``index``, and may leave out the
+    successors of infinite least yield, which every reader drops.  Per
+    form the table expands each group once, through its first rule.  It
+    keeps the successors group after group, each group's in (len, w)
+    order where its first rule stands (``ordered``, for the enumerators:
+    a later copy would only repeat nodes a breadth-first search has
+    already seen), and the edges (successor, multiplicity summed over the
+    rules, a group counting once per rule, least yield, persistent
+    projection) for the derivation counters.  ``info`` keeps the last two
+    per distinct successor: the sum of ``yields`` over its symbols and
+    the subsequence of its ``persistent`` symbols.
     """
 
     def __init__(self, expand, rules, yields, persistent):
         self.expand = expand
-        self.rules = range(rules)
+        groups = {}
+        for i, key in enumerate(rules):
+            groups.setdefault(key, [i, 0])[1] += 1
+        self.groups = list(groups.values())
         self.yields = yields
         self.persistent = persistent
         self.forms = {}
@@ -184,11 +212,11 @@ class _Successors:
         e = self.forms.get(s)
         if e is None:
             ordered, merged = [], {}
-            for r in self.rules:
+            for r, size in self.groups:
                 succs = self.expand(s, r)
                 ordered += sorted(succs, key=_by_len)
                 for succ, n in succs.items():
-                    merged[succ] = merged.get(succ, 0) + n
+                    merged[succ] = merged.get(succ, 0) + n * size
             e = self.forms[s] = (
                 ordered, [(succ, n) + self.info(succ) for succ, n in merged.items()]
             )
@@ -241,20 +269,26 @@ def step(g, sentential, table):
 
 def step_with_multiplicity(g, sentential, table):
     """Successors keyed to the number of distinct choice vectors reaching
-    them; the multiplicity is what tree counting needs.
+    them; the multiplicity is what tree counting needs."""
+    opts = _options(g, tuple(sentential), table)
+    return {} if opts is None else _fold(opts)
+
+
+def _fold(opts):
+    """The words that pick one option per position, keyed to the number of
+    picks that spell them; empty from the first position with no option.
 
     The positions are folded left to right into a dict of partial words
     with summed multiplicities, so the work grows with the distinct
     partial words, not with the choice vectors; a run of positions with a
     single option joins the partial words as one segment."""
-    opts = _options(g, tuple(sentential), table)
-    if opts is None:
-        return {}
     words, segment = {(): 1}, ()
     for rhss in opts:
         if len(rhss) == 1:
             segment += rhss[0]
             continue
+        if not rhss:
+            return {}
         folded = {}
         for u, n in words.items():
             u += segment

@@ -14,11 +14,12 @@ which is what makes the Szilard automaton deterministic.
 Each grammar holds one successor table (``etol._Successors``), filled
 through :func:`matrix_applications` the first time a form is expanded
 and kept as long as the grammar object lives (grammars are never
-mutated after construction).  Per form it keeps each matrix's successor
-forms in (len, w) order for :func:`enumerate_matrix`, and each distinct
-successor with its number of applications, least yield and terminal
-projection for :func:`count_derivations`, so an ambiguity audit applies
-each matrix to each form once.
+mutated after construction).  Per form it keeps each distinct matrix's
+successor forms in (len, w) order for :func:`enumerate_matrix`, and each
+distinct successor with its number of applications, least yield and
+terminal projection for :func:`count_derivations`, so an ambiguity
+audit applies each distinct matrix to each form once; a matrix listed d
+times counts its applications d times.
 
 The four conversions (normal form, matrix to reduced ETOL, reduced ETOL
 to EDTOL and to matrix) read one profile table.  A profile is the
@@ -104,12 +105,12 @@ class MatrixGrammar:
 
     @cached_property
     def _successors(self):
-        """The successor table, filled on first use: a successor's
-        multiplicity is its number of per-origin applications, and the
-        terminals persist."""
+        """The successor table, filled on first use: equal matrices form
+        one group, a successor's multiplicity is its number of per-origin
+        applications, and the terminals persist."""
         return _Successors(
             lambda s, mi: Counter(succ for succ, _, _ in matrix_applications(self, s, mi)),
-            len(self.matrices),
+            self.matrices,
             _least_yields(self.nonterminals, self.terminals,
                           [p for m in self.matrices for p in m]),
             self._tset,

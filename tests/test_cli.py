@@ -345,6 +345,14 @@ def test_convert_rows_call_the_library_at_call_time(docs, capsys, monkeypatch):
     assert out.splitlines()[-1] == "oracle-equal <= 6: FAIL"
 
 
+def test_commands_are_looked_up_at_call_time(docs, capsys, monkeypatch):
+    # main builds its parser once; a wrapper installed on a command's name
+    # afterwards, as a tracer's is, must still see the call
+    assert _run(docs, ["enumerate", "copy", "--max-len", "3"], capsys)[0] == 0
+    monkeypatch.setattr(cli, "cmd_enumerate", lambda args: 7)
+    assert _run(docs, ["enumerate", "copy", "--max-len", "3"], capsys)[0] == 7
+
+
 def test_construction_value_error_is_not_a_malformed_document(docs, monkeypatch):
     def broken(g):
         raise ValueError("bug inside a construction")
@@ -361,8 +369,11 @@ def test_active_normal_form_conversion_keeps_the_doubling_language(tmp_path, cap
     assert out.splitlines()[-1] == "oracle-equal <= 17: PASS"
 
 
-def test_ambiguity_audit_applies_each_matrix_to_each_form_once(docs, capsys, monkeypatch):
-    # the enumeration and all 30 per-word counts share one successor table
+def test_ambiguity_audit_applies_each_matrix_to_each_form_once(docs, tmp_path, capsys,
+                                                             monkeypatch):
+    # the enumeration and all per-word counts share one successor table,
+    # and the d copies of a letter matrix are applied as one: only the
+    # first of equal matrices is ever applied
     calls = Counter()
     apply = mx.matrix_applications
 
@@ -371,10 +382,40 @@ def test_ambiguity_audit_applies_each_matrix_to_each_form_once(docs, capsys, mon
         return apply(g, s, mi)
 
     monkeypatch.setattr(mx, "matrix_applications", counted)
-    rc, out, _ = _run(docs, ["audit", "copy", "--kind", "ambiguity", "--max-len", "9"], capsys)
+    for d, max_len, line in [
+        (1, 9, "max derivation count 1 over 30 words (exact=True)"),
+        (8, 7, "max derivation count 512 over 14 words (exact=True)"),
+    ]:
+        calls.clear()
+        path = docs["copy"] if d == 1 else _write(tmp_path, "copy8.json", repeated_copy_matrix(d))
+        rc, out, _ = _run(docs, ["audit", path, "--kind", "ambiguity", "--max-len",
+                                 str(max_len)], capsys)
+        assert rc == 0
+        assert out.splitlines()[-1] == line
+        assert calls and set(calls.values()) == {1}
+        assert {mi for _, mi in calls} == {0, 1, 1 + d, 1 + 2 * d, 1 + 3 * d}
+
+
+def test_plain_conversion_folds_no_dead_only_expansion(docs, capsys, monkeypatch):
+    # from_reduced's plain system sends every stray symbol to a dead one;
+    # an expansion that only reaches forms of infinite least yield is
+    # work the readers throw away, so the table must never do one
+    folds = []
+    init = etol._Successors.__init__
+
+    def counted_init(self, expand, *rest):
+        def counted(s, r):
+            succs = expand(s, r)
+            folds.append(bool(succs) and all(self.info(u)[0] == etol.INF for u in succs))
+            return succs
+        init(self, counted, *rest)
+
+    monkeypatch.setattr(etol._Successors, "__init__", counted_init)
+    rc, out, _ = _run(docs, ["convert", "copy-etol", "--to", "plain", "--check-len", "9"],
+                      capsys)
     assert rc == 0
-    assert out.splitlines()[-1] == "max derivation count 1 over 30 words (exact=True)"
-    assert calls and set(calls.values()) == {1}
+    assert out.splitlines()[-1] == "oracle-equal <= 9: PASS"
+    assert folds and not any(folds)
 
 
 def test_convert_help_names_each_target_source_kind(capsys):
@@ -390,6 +431,7 @@ EXIT_CODES = [
     # enumerate
     (["enumerate", "copy", "--max-len", "5"], 0),
     (["--steps", "5", "enumerate", "copy", "--max-len", "9"], 3),
+    (["--steps", "-1", "enumerate", "copy"], 2),
     # convert (exit 0 and 1: the pins and the call-time test above)
     (["convert", "copy", "--to", "ncm"], 2),
     (["convert", "semi", "--to", "ncm"], 2),
@@ -408,6 +450,7 @@ EXIT_CODES = [
     (["series", "semi"], 2),
     # audit
     (["audit", "copy-etol", "--kind", "index"], 0),
+    (["--steps", "5", "audit", "copy-etol", "--kind", "index"], 3),
     (["audit", "copy", "--kind", "ambiguity", "--max-len", "7"], 0),
     (["audit", "copy", "--kind", "normal-form"], 0),
     (["audit", "semi", "--kind", "semi-simple"], 1),

@@ -1,5 +1,8 @@
 """Matrix application, normal form, Szilard automaton, theta, conversions."""
 
+from collections import Counter
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -428,3 +431,99 @@ def test_shared_successor_table_counts_match_fresh_grammars(g, rnd):
     for w, cap, depth in queries:
         shared = count(g, w, max_depth=depth, cap=cap)
         assert shared == count(_fresh_copy(g), w, max_depth=depth, cap=cap), (w, cap, depth)
+
+
+@st.composite
+def _copied_rules(draw, kind):
+    """A small system with rules listed again at drawn places and, maybe,
+    a dead symbol D (D -> D only) offered beside a live right-hand side."""
+    g = draw(small_systems(kind))
+    etol_kind = kind == "etol"
+    rules = list(g.tables if etol_kind else g.matrices)
+    symbols = tuple(g.v if etol_kind else g.nonterminals)
+    if draw(st.booleans()):
+        symbols += ("D",)
+        i = draw(st.integers(0, len(rules) - 1))
+        if etol_kind:
+            x = draw(st.sampled_from(sorted(rules[i])))
+            rules[i] = dict(rules[i], D=(("D",),))
+            rules[i][x] += (rules[i][x][0] + ("D",),)
+        else:
+            (x, rhs), *rest = rules[i]
+            rules.insert(i + 1, ((x, rhs + ("D",)),) + tuple(rest))
+            rules.append((("D", ("D",)),))
+    for _ in range(draw(st.integers(0, 3))):
+        copy = rules[draw(st.integers(0, len(rules) - 1))]
+        rules.insert(draw(st.integers(0, len(rules))), copy)
+    if etol_kind:
+        return etol.EtolSystem(symbols, "ab", "S", rules, reduced=True)
+    return mx.MatrixGrammar(symbols, "ab", "S", rules)
+
+
+def _reference_successors(g, s, yields):
+    """Per rule, in rule order, its successors of finite least yield with
+    their multiplicities, through the public one-rule functions."""
+    if isinstance(g, mx.MatrixGrammar):
+        per_rule = [Counter(succ for succ, _, _ in mx.matrix_applications(g, s, mi))
+                    for mi in range(len(g.matrices))]
+    else:
+        per_rule = [etol.step_with_multiplicity(g, s, ti) for ti in range(len(g.tables))]
+    return [{u: n for u, n in succs.items() if sum(yields[x] for x in u) < etol.INF}
+            for succs in per_rule]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("etol", "matrix")).flatmap(_copied_rules))
+def test_successor_table_matches_every_rule_expanded(g):
+    # the table expands equal rules once and folds only live productions;
+    # a reference that expands every rule and drops the dead successors
+    # must see the same discovery order, edges and counts
+    if isinstance(g, mx.MatrixGrammar):
+        yields = etol._least_yields(g.nonterminals, g.terminals,
+                                    [p for m in g.matrices for p in m])
+        start, count = (g.start,), mx.count_derivations
+    else:
+        yields, start, count = etol.min_yield_map(g), (g.axiom,), etol.count_trees
+    table = g._successors
+
+    def least(u):
+        return sum(yields[x] for x in u)
+
+    def by_len(u):
+        return (len(u), u)
+
+    memo = {}
+
+    def reference(s):
+        if s not in memo:
+            memo[s] = _reference_successors(g, s, yields)
+        return memo[s]
+
+    forms, queue = {start}, [start]
+    while queue and len(forms) < 60:
+        s = queue.pop(0)
+        per_rule = reference(s)
+        order = dict.fromkeys(u for succs in per_rule for u in sorted(succs, key=by_len))
+        live = [u for u in dict.fromkeys(table.ordered(s)) if least(u) < etol.INF]
+        assert live == list(order), s
+        edges = Counter()
+        for succs in per_rule:
+            edges.update(succs)
+        got = {u: n for u, n, lo, _ in table.edges(s) if lo < etol.INF}
+        assert got == edges, s
+        assert all(lo == least(u) for u, _, lo, _ in table.edges(s))
+        for u in order:
+            if u not in forms and least(u) <= 6 and not g.is_word(u):
+                forms.add(u)
+                queue.append(u)
+
+    @cache
+    def paths(s, w):
+        if g.is_word(s):
+            return int(s == w)
+        return sum(n * paths(u, w) for succs in reference(s) for u, n in succs.items()
+                   if least(u) <= len(w))
+
+    for w in enumerate_language(g, 6).require_complete().words:
+        want = paths(start, w)
+        assert count(g, w) == etol.TreeCount(min(want, 4096), want < 4096), w
