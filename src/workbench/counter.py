@@ -263,11 +263,19 @@ class Simulator:
         return out
 
     def probe_id(self, set_id):
-        """Can the run consume the end-marker and reach acceptance?"""
+        """Can the run consume the end-marker and reach acceptance?
+
+        The λ-walk stops at the first accepting configuration, so the
+        steps it charges depend on its order: when it has to expand a
+        start set of several configurations, it takes them sorted by
+        ``repr``, not in hash order."""
         if set_id not in self._probe:
             after_end = self._by_id[self.extend_id(set_id, END)]
+            accepting = self.m.accepting
+            if len(after_end) > 1 and not any(cfg[0] in accepting for cfg in after_end):
+                after_end = sorted(after_end, key=repr)
             self._probe[set_id] = any(
-                cfg[0] in self.m.accepting for cfg in self._lambda_reach(after_end)
+                cfg[0] in accepting for cfg in self._lambda_reach(after_end)
             )
         return self._probe[set_id]
 

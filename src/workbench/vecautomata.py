@@ -7,19 +7,23 @@ appending all-zero digit tuples never changes acceptance, so the
 encoding length is never ambiguous.
 
 The compiler is the classic digit-by-digit construction for integer
-linear equations A·y = b (``EquationSystem``): states are carry vectors,
-reading digit tuple d from carry r requires (r_i - (A·d)_i) even on every
-row and moves to (r - A·d)/2, and the zero carry accepts.  A·d is
-computed once per digit and the digits are bucketed by the parity vector
-of A·d, so carry r visits only the bucket keyed by r mod 2.  Each digit
-tuple is filed under its kept digits: the existential columns are erased
-as the system compiles, so the automaton is nondeterministic.  A linear
-set c + N{p_1..p_r} is x - Σ l_j·p_j = c with the multipliers l
-existential, and systems that keep the same tracks compile to one NFA
-(``_ErasedNFA``), the disjoint union of their carry automata.  A subset
-of its states accepts when it meets the *Z-set*, the states that reach
-an accepting carry along kept-zero digits: a kept-track vector may need
-zero padding before the wider erased tracks are done.
+linear equations A·y = b (``EquationSystem``; Boudet & Comon, CAAP 1996;
+Wolper & Boigelot, TACAS 2000): states are carry vectors, reading digit
+tuple d from carry r requires (r_i - (A·d)_i) even on every row and moves
+to (r - A·d)/2, and the zero carry accepts.  A carry vector is packed
+into one int, one biased fixed-width field per row, and so is A·d: one
+int addition and one shift step every row at once.  A·d is computed once
+per digit and the digits are bucketed by the parity vector of A·d, so
+carry r visits only the bucket keyed by r mod 2, the low bits of its
+fields.  Each digit tuple is filed under its kept digits: the existential
+columns are erased as the system compiles, so the automaton is
+nondeterministic.  A linear set c + N{p_1..p_r} is x - Σ l_j·p_j = c
+with the multipliers l existential, and systems that keep the same
+tracks compile to one NFA (``_ErasedNFA``), the disjoint union of their
+carry automata.  A subset of its states accepts when it meets the
+*Z-set*, the states that reach an accepting carry along kept-zero
+digits: a kept-track vector may need zero padding before the wider
+erased tracks are done.
 
 ``compare`` walks pairs (S1, S2) of subsets of two such NFAs breadth
 first, computing subset successors lazily and caching them per side,
@@ -40,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from operator import add, or_, sub
+from operator import or_
 
 from .foundation import PreconditionError
 
@@ -80,11 +84,15 @@ class VectorDFA:
 
 
 def encode_vector(v, width=None):
-    """LSD-first binary digit tuples for a nonnegative vector."""
+    """LSD-first binary digit tuples for a nonnegative vector, ``width``
+    of them (by default as many as the largest coordinate needs)."""
     if any(x < 0 for x in v):
         raise PreconditionError("only nonnegative vectors are encodable")
+    need = max((int(x).bit_length() for x in v), default=0)
     if width is None:
-        width = max((int(x).bit_length() for x in v), default=0)
+        width = need
+    elif width < need:
+        raise PreconditionError("%d digits cannot encode a coordinate of %d bits" % (width, need))
     return [tuple((x >> t) & 1 for x in v) for t in range(width)]
 
 
@@ -138,39 +146,57 @@ def _carry_edges(eq, first=0):
     (edges, end, zero): the edges (q, kept index, t) in the order they
     are built, one past the last state number, and the state of the zero
     carry (the accepting one), or None when no reachable carry is zero.
+
+    Carries are packed: a carry vector r is the int Σ_i (r_i + β) << i·w,
+    one w-bit field per row, each biased by the same even β, so the zero
+    carry is β in every field (``bias``).  A digit tuple d is stored as
+    bias − A·d, and carry + (bias − A·d) holds r_i − (A·d)_i + 2β field
+    by field.  Width invariant: each of those fields lies in [0, 2^w), so
+    the int addition carries nothing across fields.  It holds because
+    β is the least power of two above max|b| + s, where
+    s = max_i Σ_j |A_ij| bounds |(A·d)_i|, and 2^w = 4β: every reachable
+    carry has |r_i| <= max(max|b|, s − 1) < β (r = b at the start, and
+    |r| <= c with c >= s − 1 gives |(r − A·d)/2| <= (c + s)/2 < c + 1),
+    so |r_i − (A·d)_i| < 2β.  Bit 0 of a field is its parity, so digit d
+    fits carry r when the two agree on every field's bit 0 (``low``);
+    every field of the sum is then even, and one shift halves them all
+    to (r − A·d)/2 + β, the successor.
     """
     rows = eq.matrix
-    odd, halve = (1).__and__, (1).__rrshift__
-    # A·d and the kept index of every digit tuple in digit_tuples order,
-    # last column first: column j's digit 1 is the upper half of the list
-    ads, keys, width = [(0,) * len(rows)], [0], 1
+    span = max((abs(b) for b in eq.rhs), default=0)
+    spread = max((sum(map(abs, row)) for row in rows), default=0)
+    width = max(span + spread, 1).bit_length() + 2
+    low = sum(1 << width * i for i in range(len(rows)))
+    bias = low << width - 2
+    # bias − A·d and the kept index of every digit tuple in digit_tuples
+    # order, last column first: column j's digit 1 is the upper half
+    ads, keys, n_kept = [bias], [0], 1
     for j in reversed(range(eq.n_vars)):
-        column = tuple(row[j] for row in rows)
-        ads += [tuple(map(add, ad, column)) for ad in ads]
+        column = sum(row[j] << width * i for i, row in enumerate(rows))
+        ads += [ad - column for ad in ads]
         if eq.existential[j]:
             keys *= 2
         else:
-            keys += [k + width for k in keys]
-            width *= 2
+            keys += [k + n_kept for k in keys]
+            n_kept *= 2
     buckets = {}
     for key, ad in zip(keys, ads):
-        buckets.setdefault(tuple(map(odd, ad)), []).append((key, tuple(map(halve, ad))))
-    start = tuple(eq.rhs)
+        buckets.setdefault(ad & low, []).append((key, ad))
+    start = bias + sum(b << width * i for i, b in enumerate(eq.rhs))
     index = {start: first}
     edges = []
     frontier = [start]
     while frontier:
         carry = frontier.pop()
         q = index[carry]
-        half = tuple(map(halve, carry))
-        for key, ad_half in buckets.get(tuple(map(odd, carry)), ()):
-            nxt = tuple(map(sub, half, ad_half))
+        for key, ad in buckets.get(carry & low, ()):
+            nxt = (carry + ad) >> 1
             t = index.get(nxt)
             if t is None:
                 t = index[nxt] = first + len(index)
                 frontier.append(nxt)
             edges.append((q, key, t))
-    return edges, first + len(index), index.get((0,) * len(rows))
+    return edges, first + len(index), index.get(bias)
 
 
 def _closure(targets, preds):
@@ -205,16 +231,17 @@ class _ErasedNFA:
         width = 2 ** tracks
         preds = [[] for _ in range(n_states)]
         zero_preds = [[] for _ in range(n_states)]
+        rows = [[0] * width for _ in range(n_states)]
         for q, i, t in edges:
             preds[t].append(q)
-            if i == 0:
+            rows[q][i] |= 1 << t
+            if not i:
                 zero_preds[t].append(q)
         live = _closure(accepting, preds)
         self._zset = _closure(accepting, zero_preds)
-        self._rows = rows = [[0] * width for _ in range(n_states)]
-        for q, i, t in edges:
-            if live >> t & 1:
-                rows[q][i] |= 1 << t
+        if live != (1 << n_states) - 1:
+            rows = [[m & live for m in row] for row in rows]
+        self._rows = rows
         self.masks, self.accepts, self._table = [0], [False], [[0] * width]
         self._index = {0: 0}
         self.initial = self._number(live & sum(1 << q for q in initial))

@@ -1,6 +1,9 @@
 """Counter machine semantics, the semilinear construction, and the DCM path."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -464,3 +467,32 @@ def test_accepted_words_agree_with_a_brute_force_run_search():
             assert part.explored == e.explored // 2 + 1
             assert set(part.words) <= words
     assert any(cuts) and not all(cuts)
+
+
+def _explored_sweep():
+    """``explored``, ``complete`` and the word count of 400 random machines
+    under two budgets, one line each."""
+    lines = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        m = random_machine(rng)
+        n = rng.randint(2, 6)
+        for budget in (Budget(step_factor=2), Budget(max_steps=60, step_factor=2)):
+            e = cm.accepted_words(m, n, budget)
+            lines.append("%d %d %s %d" % (seed, e.explored, e.complete, len(e.words)))
+    return "\n".join(lines)
+
+
+def test_accepted_words_explored_is_independent_of_the_hash_seed():
+    # states are strings, so a set of configurations iterates in an order
+    # that PYTHONHASHSEED picks; the count must not depend on it
+    path = [os.path.dirname(os.path.dirname(cm.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "from test_counter import _explored_sweep; print(_explored_sweep())"
+    outs = [
+        subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONHASHSEED=seed),
+                       capture_output=True, text=True, check=True).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0].count("\n") == 800
+    assert outs[0] == outs[1]

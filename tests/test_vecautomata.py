@@ -52,6 +52,16 @@ def test_from_equations_double():
         assert m.accepts_vector((a, b)) == (a == 2 * b)
 
 
+def test_encode_vector_refuses_a_width_too_small():
+    assert va.encode_vector((5, 1), width=3) == [(1, 1), (0, 0), (1, 0)]
+    assert va.encode_vector((5, 1), width=4)[3] == (0, 0)
+    with pytest.raises(PreconditionError):
+        va.encode_vector((5, 1), width=2)
+    with pytest.raises(PreconditionError):
+        va.encode_vector((0, 1), width=0)
+    assert va.encode_vector((0, 0), width=0) == []
+
+
 def test_padding_never_changes_acceptance():
     m = va.from_semilinear_set(semilinear(linear((1, 2), (1, 1), (0, 1))))
     for v in product(range(6), repeat=2):
@@ -314,6 +324,92 @@ def test_from_equations_matches_per_digit_reference():
         assert [((q, alphabet[i]), t) for q, i, t in edges] == list(transitions.items())
         assert zero == index.get((0,) * len(eq.rhs))
         assert va.from_equations(eq) == va.minimize(_reference_dfa(eq))
+
+
+def _tuple_carry_edges(eq, first=0, limit=None):
+    """``_carry_edges`` on tuple carries: the same depth-first walk, bucket
+    order and numbering, each carry a tuple of Python ints.  None once the
+    walk has numbered more than ``limit`` carries."""
+    rows = eq.matrix
+    ads, keys, n_kept = [(0,) * len(rows)], [0], 1
+    for j in reversed(range(eq.n_vars)):
+        column = tuple(row[j] for row in rows)
+        ads += [tuple(a + c for a, c in zip(ad, column)) for ad in ads]
+        if eq.existential[j]:
+            keys *= 2
+        else:
+            keys += [k + n_kept for k in keys]
+            n_kept *= 2
+    buckets = {}
+    for key, ad in zip(keys, ads):
+        buckets.setdefault(tuple(x & 1 for x in ad), []).append((key, ad))
+    start = tuple(eq.rhs)
+    index = {start: first}
+    edges = []
+    frontier = [start]
+    while frontier:
+        carry = frontier.pop()
+        q = index[carry]
+        for key, ad in buckets.get(tuple(x & 1 for x in carry), ()):
+            nxt = tuple((r - a) >> 1 for r, a in zip(carry, ad))
+            t = index.get(nxt)
+            if t is None:
+                if limit is not None and len(index) == limit:
+                    return None
+                t = index[nxt] = first + len(index)
+                frontier.append(nxt)
+            edges.append((q, key, t))
+    return edges, first + len(index), index.get((0,) * len(rows))
+
+
+def test_carry_edges_match_the_tuple_reference():
+    rng = random.Random(19)
+    for _ in range(300):
+        n_vars = rng.randrange(1, 7)
+        matrix = [[rng.randrange(-5, 6) for _ in range(n_vars)] for _ in range(rng.randrange(5))]
+        existential = [rng.random() < 0.4 for _ in range(n_vars)]
+        eq = va.EquationSystem(matrix, [rng.randrange(-20, 21) for _ in matrix], existential)
+        for first in (0, 7):
+            assert va._carry_edges(eq, first) == _tuple_carry_edges(eq, first), eq
+
+
+def _large_systems(rng):
+    """Systems with rhs up to 10^9 and coefficients up to 1000 in size,
+    some columns existential.  Arbitrary ones mostly die within a few
+    carries.  So they alternate with square ones that are invertible mod 2
+    (odd on a permutation, even elsewhere) and solved by a y below 2^17:
+    every carry has exactly one successor, and the walk goes from b through
+    the carries A·(y >> t) down to the zero carry."""
+    while True:
+        n_vars = rng.randrange(1, 5)
+        matrix = [[rng.randrange(-1000, 1001) for _ in range(n_vars)]
+                  for _ in range(rng.randrange(1, 5))]
+        rhs = [rng.randrange(-10 ** 9, 10 ** 9 + 1) for _ in matrix]
+        yield va.EquationSystem(matrix, rhs, [rng.random() < 0.4 for _ in range(n_vars)])
+        n_vars = rng.randrange(1, 5)
+        perm = rng.sample(range(n_vars), n_vars)
+        matrix = [[2 * rng.randrange(-500, 500) + (j == perm[i]) for j in range(n_vars)]
+                  for i in range(n_vars)]
+        y = [rng.randrange(2 ** 17) for _ in range(n_vars)]
+        rhs = [sum(a * x for a, x in zip(row, y)) for row in matrix]
+        yield va.EquationSystem(matrix, rhs, [rng.random() < 0.4 for _ in range(n_vars)])
+
+
+def test_packed_carries_keep_large_values_apart():
+    # each row's field must hold its part of carry + (bias - A·d) without
+    # a carry into the next row's field; draws whose reference walk
+    # numbers more than 2,000 carries are skipped
+    checked = deep = 0
+    for eq in _large_systems(random.Random(23)):
+        reference = _tuple_carry_edges(eq, limit=2000)
+        if reference is None:
+            continue
+        assert va._carry_edges(eq) == reference, eq
+        checked += 1
+        deep += len(eq.rhs) > 1 and reference[1] > 10
+        if checked == 300:
+            break
+    assert deep >= 100
 
 
 def test_from_equations_is_the_union_of_its_systems():
